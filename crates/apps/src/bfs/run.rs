@@ -11,6 +11,7 @@
 use crate::bfs::cost::BfsCost;
 use crate::bfs::csr::Csr;
 use crate::bfs::dist::{decode, encode, Expansion, Partition, RankState};
+use crate::bfs::rmat;
 use crate::bfs::seq::{self, BfsTree};
 use crate::hsg::run::{coord_for, dims_for};
 use apenet_cluster::cluster::ClusterBuilder;
@@ -22,6 +23,7 @@ use apenet_rdma::api::SrcHint;
 use apenet_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Run parameters.
 #[derive(Debug, Clone)]
@@ -77,7 +79,7 @@ impl BfsConfig {
 }
 
 /// Aggregated result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BfsResult {
     /// Traversed edges per second (the graph500 metric).
     pub teps: f64,
@@ -105,7 +107,7 @@ struct RankDone {
 
 struct BfsRank {
     cfg: BfsConfig,
-    g: Rc<Csr>,
+    g: Arc<Csr>,
     state: RankState,
     rank: usize,
     // GPU buffer layout: send and recv slots by peer *position*
@@ -246,8 +248,7 @@ impl BfsRank {
         }
         // Integrate and account.
         let pairs = std::mem::take(&mut self.pending_pairs[parity]);
-        let fresh = self.state.apply(&pairs, self.level + 1);
-        let _ = fresh;
+        self.state.apply(&pairs, self.level + 1);
         self.pairs_in_prev = pairs.len() as u64;
         let total_frontier = self.my_frontier_len as u64 + self.frontier_global[parity];
         self.msgs_in[parity] = 0;
@@ -317,6 +318,37 @@ impl HostProgram for BfsRank {
     }
 }
 
+/// Everything [`rmat::generate_with`] reads: `(scale, edgefactor, seed,
+/// permute)`.
+type GraphKey = (u32, u32, u64, bool);
+
+/// The most recently built graph. One slot: a run with another key
+/// replaces it, so the process retains at most one graph beyond the
+/// `Arc`s that runs still hold.
+static GRAPH: Mutex<Option<(GraphKey, Arc<Csr>)>> = Mutex::new(None);
+
+/// The CSR of `cfg`'s R-MAT graph, built once per key and shared
+/// read-only. The lock is held while building, so concurrent sweep
+/// workers asking for one key build it once and share one `Arc`. The
+/// graph is a pure function of the key: a hot slot and a cold one give
+/// the same runs.
+fn graph(cfg: &BfsConfig) -> Arc<Csr> {
+    let key = (cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
+    // A panic mid-build leaves the slot empty, never half-written.
+    let mut slot = GRAPH.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((k, g)) = slot.as_ref() {
+        if *k == key {
+            return g.clone();
+        }
+    }
+    // Drop the old graph first: peak memory holds one graph, not two.
+    *slot = None;
+    let edges = rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
+    let g = Arc::new(Csr::build(1 << cfg.scale, &edges));
+    *slot = Some((key, g.clone()));
+    g
+}
+
 /// Run the APEnet+ version (GPU peer-to-peer, Table IV left column).
 pub fn run_apenet(cfg: &BfsConfig) -> BfsResult {
     run_apenet_on(cfg, cluster_i_default())
@@ -324,9 +356,8 @@ pub fn run_apenet(cfg: &BfsConfig) -> BfsResult {
 
 /// Run the APEnet+ version on a custom node configuration.
 pub fn run_apenet_on(cfg: &BfsConfig, node_cfg: NodeConfig) -> BfsResult {
-    let n = 1usize << cfg.scale;
-    let edges = crate::bfs::rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
-    let g = Rc::new(Csr::build(n, &edges));
+    let g = graph(cfg);
+    let n = g.n();
     let part = Partition { n, np: cfg.np };
     let slot_bytes = 4 + 8 * max_message_pairs(&g, part, cfg.root);
     let done = Rc::new(RefCell::new(
@@ -364,7 +395,7 @@ pub fn run_apenet_on(cfg: &BfsConfig, node_cfg: NodeConfig) -> BfsResult {
     let mut cluster = ClusterBuilder::new(dims, node_cfg).build(programs);
     cluster.run();
     let ranks = done.borrow();
-    finish(cfg, &g, part, &ranks)
+    finish(&g, part, &ranks)
 }
 
 /// Dry-run the distributed algorithm (perfect transport) to size the
@@ -397,7 +428,7 @@ fn max_message_pairs(g: &Csr, part: Partition, root: u32) -> u64 {
     }
 }
 
-fn finish(_cfg: &BfsConfig, g: &Csr, part: Partition, ranks: &[RankDone]) -> BfsResult {
+fn finish(g: &Csr, part: Partition, ranks: &[RankDone]) -> BfsResult {
     let mut tree = BfsTree {
         level: vec![-1; g.n()],
         parent: vec![-1; g.n()],
@@ -430,9 +461,8 @@ fn finish(_cfg: &BfsConfig, g: &Csr, part: Partition, ranks: &[RankDone]) -> Bfs
 /// ranks are packed `ib_gpus_per_node` per node; same-node pairs exchange
 /// over the local PCIe (device-to-device copy) instead of the wire.
 pub fn run_ib(cfg: &BfsConfig, ib: IbConfig) -> BfsResult {
-    let n = 1usize << cfg.scale;
-    let edges = crate::bfs::rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
-    let g = Csr::build(n, &edges);
+    let g = graph(cfg);
+    let n = g.n();
     let part = Partition { n, np: cfg.np };
     let cost = BfsCost {
         derate: BfsCost::cluster_ii().derate,
@@ -479,10 +509,9 @@ pub fn run_ib(cfg: &BfsConfig, ib: IbConfig) -> BfsResult {
             }
         }
         for (src, e) in expansions.iter().enumerate() {
-            for dstr in 0..cfg.np {
-                if src != dstr {
-                    pairs_in_prev[dstr] += e.to_rank[dstr].len() as u64;
-                    states[dstr].apply(&e.to_rank[dstr], level + 1);
+            for (dst, state) in states.iter_mut().enumerate() {
+                if src != dst {
+                    state.apply(&e.to_rank[dst], level + 1);
                 }
             }
         }
@@ -520,5 +549,81 @@ pub fn run_ib(cfg: &BfsConfig, ib: IbConfig) -> BfsResult {
         levels: level as u32 + 1,
         breakdown: comp.into_iter().zip(comm).collect(),
         tree,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::MutexGuard;
+
+    /// The slot is process-wide: tests that inspect it take turns.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn slot_key() -> Option<GraphKey> {
+        GRAPH.lock().unwrap().as_ref().map(|(k, _)| *k)
+    }
+
+    fn clear_slot() {
+        *GRAPH.lock().unwrap() = None;
+    }
+
+    #[test]
+    fn one_key_builds_one_graph() {
+        let _serial = serial();
+        let cfg = BfsConfig::small(8, 2);
+        let a = graph(&cfg);
+        let b = graph(&cfg);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.n(), 256);
+    }
+
+    #[test]
+    fn another_key_replaces_the_slot() {
+        let _serial = serial();
+        let raw = BfsConfig::small(8, 2);
+        let permuted = BfsConfig {
+            permute: true,
+            ..raw.clone()
+        };
+        let a = graph(&raw);
+        assert_eq!(slot_key(), Some((8, 16, 500, false)));
+        let b = graph(&permuted);
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(slot_key(), Some((8, 16, 500, true)));
+        // The evicted graph is rebuilt, not resurrected.
+        let c = graph(&raw);
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(slot_key(), Some((8, 16, 500, false)));
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_build() {
+        let _serial = serial();
+        clear_slot();
+        let cfg = BfsConfig::small(9, 4);
+        let graphs: Vec<Arc<Csr>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4).map(|_| s.spawn(|| graph(&cfg))).collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for g in &graphs[1..] {
+            assert!(Arc::ptr_eq(&graphs[0], g));
+        }
+    }
+
+    #[test]
+    fn hot_slot_runs_match_cold_ones() {
+        let _serial = serial();
+        let cfg = BfsConfig::small(9, 4);
+        clear_slot();
+        let cold = run_apenet(&cfg);
+        assert_eq!(slot_key(), Some((9, 16, 500, false)));
+        assert_eq!(cold, run_apenet(&cfg));
+        clear_slot();
+        let cold = run_ib(&cfg, IbConfig::cluster_ii());
+        assert_eq!(cold, run_ib(&cfg, IbConfig::cluster_ii()));
     }
 }

@@ -119,3 +119,23 @@ fn ablation_relabelling_restores_scaling() {
         "permuted {permuted:.2e} vs raw {raw:.2e}"
     );
 }
+
+#[test]
+fn graph_reuse_is_invisible_in_results() {
+    // Runs share each built graph; a rerun after another graph has
+    // displaced it must match the first run exactly.
+    let cfg = BfsConfig {
+        seed: 77,
+        ..BfsConfig::small(9, 2)
+    };
+    let other = BfsConfig {
+        permute: true,
+        ..cfg.clone()
+    };
+    let first = run_apenet(&cfg);
+    let again = run_apenet(&cfg);
+    run_ib(&other, IbConfig::cluster_ii());
+    let rebuilt = run_apenet(&cfg);
+    assert_eq!(again, first);
+    assert_eq!(rebuilt, first);
+}

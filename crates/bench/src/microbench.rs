@@ -398,6 +398,9 @@ fn app_benches(h: &mut Harness) {
     let edges = rmat::generate(14, 16, 3);
     let graph = Csr::build(1 << 14, &edges);
     h.bench("bfs_seq_scale14", move || seq::bfs(&graph, 1).level[100]);
+    // Graph construction: the BFS work outside the event loop.
+    h.bench("rmat_generate_scale14", || rmat::generate(14, 16, 3).len());
+    h.bench("csr_build_scale14", || Csr::build(1 << 14, &edges).n());
 }
 
 /// The tail-forensics plane's own hot paths: raw digest ingest, and the

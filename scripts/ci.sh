@@ -16,6 +16,18 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> perfbench self-tests"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench bfs_rmat smoke (seed-1 outputs match perfbench/expect/)"
+# perfbench checks the BFS trees against a sequential reference and the
+# simulated outputs against the committed seed-1 records; its last line
+# reports the verdict.
+bfs_smoke=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload bfs_rmat --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$bfs_smoke"
+grep -q '"correct": true' <<<"$bfs_smoke"
+
 echo "==> trace-export smoke (Perfetto exporter self-validates nesting + JSON)"
 cargo run --release --offline -q -p apenet-bench --bin trace-export
 
