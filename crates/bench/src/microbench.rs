@@ -349,7 +349,8 @@ fn fabric_benches(h: &mut Harness) {
 /// and the old way (one heap copy per fragment); the ratio is the
 /// zero-copy payoff in isolation.
 fn frag_benches(h: &mut Harness) {
-    use apenet_core::packet::fragments;
+    use apenet_core::coord::Coord;
+    use apenet_core::packet::{fragments, ApePacket, MsgId};
     use apenet_sim::bytes::PayloadSlice;
 
     let msg: Vec<u8> = (0..4 << 20).map(|i| (i % 251) as u8).collect();
@@ -371,6 +372,28 @@ fn frag_benches(h: &mut Harness) {
             total = total.wrapping_add(black_box(&frag)[0] as u64 + frag.len() as u64);
         }
         total
+    });
+    // The CRC work of a 4 MB message: each of its 1024 packets is sealed
+    // (in `ApePacket::new`) and verified once, as at TX and at one RX.
+    h.bench("packet_seal_verify_4mb", || {
+        let msg = MsgId {
+            src_rank: 0,
+            seq: 1,
+        };
+        let mut verified = 0u32;
+        for (off, len) in fragments(whole.len() as u64) {
+            let p = ApePacket::new(
+                Coord::new(1, 0, 0),
+                Coord::new(0, 0, 0),
+                msg,
+                off,
+                whole.len() as u64,
+                whole.narrow(off as usize, len as usize),
+            );
+            verified += black_box(&p).verify() as u32;
+        }
+        assert_eq!(verified, 1024);
+        verified
     });
     if let (Some(zc), Some(cp)) = (h.result("frag_4mb_zero_copy"), h.result("frag_4mb_memcpy")) {
         println!(

@@ -11,7 +11,7 @@ use crate::config::{CardConfig, GpuReadMethod, GpuTxVersion, TxSinkMode};
 use crate::coord::{Coord, FaultMap, LinkDir, RouteChoice, TorusDims};
 use crate::gpu_tx::FetchPlan;
 use crate::nios::{BufEntry, BufKind, BufList, GpuV2p, HostV2p, Nios, PageDesc};
-use crate::packet::{ApePacket, MsgId, APE_MAX_PAYLOAD};
+use crate::packet::{fragments, ApePacket, MsgId};
 use crate::torus::{LinkFrame, LinkMsg, Port, TorusLink, NUM_PORTS};
 use apenet_gpu::cuda::CudaDevice;
 use apenet_gpu::mem::Memory;
@@ -1075,19 +1075,10 @@ impl Card {
         };
         let gpu_src = matches!(job.desc.src_kind, BufKind::Gpu(_));
         let per_packet = self.cfg.tx_per_packet();
-        let mut pieces: Vec<(u64, u32)> = Vec::new();
-        if len == 0 {
-            pieces.push((0, 0));
-        } else {
-            let mut off = offset;
-            let mut rem = len;
-            while rem > 0 {
-                let n = rem.min(APE_MAX_PAYLOAD);
-                pieces.push((off, n));
-                off += n as u64;
-                rem -= n;
-            }
-        }
+        // A zero-length fetch still sends one header-only packet.
+        let pieces = fragments(len as u64)
+            .map(|(o, n)| (offset + o, n))
+            .chain((len == 0).then_some((0, 0)));
         for (off, n) in pieces {
             let ready = if gpu_src && self.cfg.gpu_tx != GpuTxVersion::V1 {
                 // v1 already paid its Nios cost at request time.

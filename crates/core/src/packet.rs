@@ -235,13 +235,22 @@ pub fn fragments(len: u64) -> impl Iterator<Item = (u64, u32)> {
 
 /// A small, dependency-free CRC-32 (polynomial 0xEDB88320).
 ///
-/// Table-driven "slice-by-8": 8 compile-time tables let the payload loop
-/// consume 8 bytes per iteration with no per-bit work. Every packet is
-/// sealed at the TX stage and verified at each link RX, with payloads up
-/// to 4 KiB, so this sits squarely on the simulator's hot path — the
-/// bit-at-a-time version it replaced dominated real-run wall time.
-/// Output is identical to the bitwise definition (the reference check
-/// value CRC32("123456789") = 0xCBF43926 is pinned in tests).
+/// Every packet is sealed at the TX stage and verified at each link RX,
+/// with payloads up to 4 KiB, so this sits squarely on the simulator's
+/// hot path. Two paths compute the same function:
+///
+/// - On x86_64 CPUs with PCLMULQDQ and SSE4.1, inputs of 128 bytes or
+///   more are folded 64 bytes per step by carry-less multiplication
+///   ([`clmul::fold`]), and the < 16 B tail goes through the table.
+/// - Everything else (the header fields, payloads under 128 B, other
+///   targets) runs the table-driven "slice-by-8" loop
+///   ([`Crc32::update_table`]): 8 compile-time tables consume 8 bytes per
+///   iteration with no per-bit work.
+///
+/// Both paths produce identical registers for every input, so seals,
+/// verifies and every golden digest do not depend on the host CPU (a
+/// property test compares them; the reference check value
+/// CRC32("123456789") = 0xCBF43926 is pinned too).
 struct Crc32 {
     state: u32,
 }
@@ -283,6 +292,19 @@ impl Crc32 {
     }
 
     fn update(&mut self, data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= 128 && clmul::available() {
+            let (blocks, tail) = data.split_at(data.len() & !15);
+            // SAFETY: `available()` has just confirmed that this CPU
+            // supports every feature `fold` is compiled with.
+            self.state = unsafe { clmul::fold(self.state, blocks) };
+            self.update_table(tail);
+            return;
+        }
+        self.update_table(data);
+    }
+
+    fn update_table(&mut self, data: &[u8]) {
         let t = &CRC32_TABLES;
         let mut chunks = data.chunks_exact(8);
         let mut crc = self.state;
@@ -309,11 +331,99 @@ impl Crc32 {
     }
 }
 
+/// CRC-32 by carry-less-multiply folding (Intel, "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction", 2009), for the
+/// bit-reflected polynomial 0xEDB88320. Four 128-bit accumulators fold
+/// 64 bytes per step; they are then folded into one, reduced to 64 bits
+/// and Barrett-reduced to the 32-bit register. The constants are
+/// x^k mod P(x) for the fold distances, bit-reflected and shifted by one
+/// as the reflected variant requires (the same values as the Linux
+/// kernel's crc32-pclmul and the crc32fast crate).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// x^(4·128+32) and x^(4·128−32) mod P: fold distance 64 bytes.
+    const K1K2: (i64, i64) = (0x1_5444_2bd4, 0x1_c6e4_1596);
+    /// x^(128+32) and x^(128−32) mod P: fold distance 16 bytes.
+    const K3K4: (i64, i64) = (0x1_7519_97d0, 0x0_ccaa_009e);
+    /// x^64 mod P: the 96 → 64 bit step.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P(x) and μ = ⌊x^64 / P(x)⌋, both bit-reflected, for Barrett.
+    const P_MU: (i64, i64) = (0x1_db71_0641, 0x1_f701_1641);
+
+    /// True when this CPU can run [`fold`]. `is_x86_feature_detected!`
+    /// caches its answer, so after the first call this is two loads.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Advance the CRC register `state` (before the final inversion) over
+    /// `data`, whose length must be a multiple of 16 and at least 64 bytes.
+    #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
+    pub(super) fn fold(state: u32, data: &[u8]) -> u32 {
+        assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+        let (head, rest) = data.split_at(64);
+        let mut x = [0, 1, 2, 3].map(|i| load(&head[16 * i..16 * (i + 1)]));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+
+        let k1k2 = _mm_set_epi64x(K1K2.1, K1K2.0);
+        let mut quads = rest.chunks_exact(64);
+        for q in &mut quads {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = fold16(*xi, load(&q[16 * i..16 * (i + 1)]), k1k2);
+            }
+        }
+
+        let k3k4 = _mm_set_epi64x(K3K4.1, K3K4.0);
+        let mut acc = fold16(x[0], x[1], k3k4);
+        acc = fold16(acc, x[2], k3k4);
+        acc = fold16(acc, x[3], k3k4);
+        for b in quads.remainder().chunks_exact(16) {
+            acc = fold16(acc, load(b), k3k4);
+        }
+
+        // 128 → 96 bits, then 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(acc, k3k4, 0x10),
+            _mm_srli_si128(acc, 8),
+        );
+        acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(acc, 4),
+        );
+
+        // Barrett reduction 64 → 32 bits (reflected: the result is the
+        // upper half of the low 64-bit lane).
+        let pu = _mm_set_epi64x(P_MU.1, P_MU.0);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(acc, t2), 1) as u32
+    }
+
+    /// Fold accumulator `a` forward over 128 bits and add block `b`.
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    fn fold16(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, k, 0x00);
+        let hi = _mm_clmulepi64_si128(a, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// An unaligned little-endian 16-byte load, without raw pointers.
+    #[target_feature(enable = "sse2")]
+    fn load(b: &[u8]) -> __m128i {
+        let v = u128::from_le_bytes(b.try_into().expect("16-byte block"));
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn packet(payload: Vec<u8>) -> ApePacket {
+    fn packet(payload: impl Into<PayloadSlice>) -> ApePacket {
+        let payload = payload.into();
         ApePacket::new(
             Coord::new(1, 0, 0),
             Coord::new(0, 0, 0),
@@ -335,12 +445,15 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let mut p = packet((0..100).collect());
-        p.payload.make_mut()[42] ^= 0x80;
-        assert!(!p.verify());
-        let mut q = packet((0..100).collect());
-        q.dst_vaddr += 1;
-        assert!(!q.verify());
+        // 100 B runs the table path; 4 KiB the fold path where available.
+        for len in [100u32, 4096] {
+            let mut p = packet((0..len).map(|i| i as u8).collect::<Vec<u8>>());
+            p.payload.make_mut()[42] ^= 0x80;
+            assert!(!p.verify(), "{len} B payload bit flip");
+            let mut q = packet((0..len).map(|i| i as u8).collect::<Vec<u8>>());
+            q.dst_vaddr += 1;
+            assert!(!q.verify(), "{len} B header flip");
+        }
     }
 
     #[test]
@@ -405,7 +518,13 @@ mod tests {
 
     #[test]
     fn ecn_and_cnp_bits_are_crc_covered() {
-        let p = packet((0..64).collect());
+        for len in [64u32, 4096] {
+            ecn_and_cnp_bits_are_crc_covered_at(len);
+        }
+    }
+
+    fn ecn_and_cnp_bits_are_crc_covered_at(len: u32) {
+        let p = packet((0..len).map(|i| i as u8).collect::<Vec<u8>>());
         assert!(!p.ecn && !p.cnp);
         // Forging a mark without re-sealing is detected …
         let mut forged = p.clone();
@@ -442,6 +561,34 @@ mod tests {
         assert_eq!(c.finish(), 0xCBF4_3926);
     }
 
+    /// The fold path must give the table path's register for every
+    /// length, alignment and starting register, including the lengths on
+    /// either side of the 128 B dispatch threshold and of 4 KiB packets.
+    #[test]
+    fn fold_path_matches_table_path() {
+        use apenet_sim::check;
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("pclmulqdq") {
+            // Otherwise `update` would silently fall back to the table,
+            // and this test would compare the table with itself.
+            assert!(clmul::available(), "PCLMULQDQ host must take the fold path");
+        }
+        check::cases("fold crc == table crc", 64, |g| {
+            let buf = g.bytes(9016, 9016);
+            let random_len = g.usize(0, 9001);
+            for len in [127, 128, 129, 4095, 4096, 4097, 8192, random_len] {
+                let off = g.usize(0, 17);
+                let data = &buf[off..off + len];
+                let state = g.rng().next_u64() as u32;
+                let mut fold = Crc32 { state };
+                fold.update(data);
+                let mut table = Crc32 { state };
+                table.update_table(data);
+                assert_eq!(fold.state, table.state, "len {len} at offset {off}");
+            }
+        });
+    }
+
     /// Adversarial CRC property: every corruption class the link layer's
     /// fault injector can produce (and several it can't) must flip
     /// `verify()` to false. CRC-32 detects all single-bit and all
@@ -452,77 +599,85 @@ mod tests {
         use apenet_sim::check;
         check::cases("crc catches corruption", 128, |g| {
             let payload = g.bytes(1, 4096);
-            let p = packet(payload);
-            assert!(p.verify());
+            corruptions_are_detected(g, packet(payload));
+            // An odd-offset view of a larger buffer: unaligned fold loads.
+            let big = PayloadSlice::from_vec(g.bytes(8192, 8192));
+            let len = g.usize(1, APE_MAX_PAYLOAD as usize + 1);
+            let off = 2 * g.usize(0, 2048) + 1;
+            corruptions_are_detected(g, packet(big.narrow(off, len)));
+        });
+    }
 
-            // Single-bit flip at a random position.
-            let mut single = p.clone();
-            let idx = g.usize(0, single.payload.len());
-            single.payload.make_mut()[idx] ^= 1 << g.u32(0, 8);
-            assert!(!single.verify(), "single-bit flip at byte {idx}");
+    fn corruptions_are_detected(g: &mut apenet_sim::check::Gen, p: ApePacket) {
+        assert!(p.verify());
 
-            // Multi-bit: 2–8 independent random flips.
-            let mut multi = p.clone();
-            for _ in 0..g.usize(2, 9) {
-                let i = g.usize(0, multi.payload.len());
-                multi.payload.make_mut()[i] ^= (g.byte() | 1).rotate_left(g.u32(0, 8));
-            }
-            // Flips can cancel pairwise; force at least one net change.
-            if multi.payload.as_slice() == p.payload.as_slice() {
-                multi.payload.make_mut()[0] ^= 0xFF;
-            }
-            assert!(!multi.verify(), "multi-bit flips");
+        // Single-bit flip at a random position.
+        let mut single = p.clone();
+        let idx = g.usize(0, single.payload.len());
+        single.payload.make_mut()[idx] ^= 1 << g.u32(0, 8);
+        assert!(!single.verify(), "single-bit flip at byte {idx}");
 
-            // Burst: 1–4 contiguous bytes overwritten.
-            let mut burst = p.clone();
-            let n = g.usize(1, 5.min(burst.payload.len() + 1));
-            let start = g.usize(0, burst.payload.len() - n + 1);
-            let mut changed = false;
-            for i in start..start + n {
-                let b = g.byte();
-                let s = burst.payload.make_mut();
-                changed |= s[i] != b;
-                s[i] = b;
-            }
-            if changed {
-                assert!(!burst.verify(), "burst of {n} at {start}");
-            }
+        // Multi-bit: 2–8 independent random flips.
+        let mut multi = p.clone();
+        for _ in 0..g.usize(2, 9) {
+            let i = g.usize(0, multi.payload.len());
+            multi.payload.make_mut()[i] ^= (g.byte() | 1).rotate_left(g.u32(0, 8));
+        }
+        // Flips can cancel pairwise; force at least one net change.
+        if multi.payload.as_slice() == p.payload.as_slice() {
+            multi.payload.make_mut()[0] ^= 0xFF;
+        }
+        assert!(!multi.verify(), "multi-bit flips");
 
-            // Truncation: drop trailing bytes (header msg_len unchanged).
-            if p.payload.len() > 1 {
-                let keep = g.usize(1, p.payload.len());
-                let trunc = ApePacket {
-                    payload: Vec::from(&p.payload.as_slice()[..keep]).into(),
-                    ..p.clone()
-                };
-                assert!(!trunc.verify(), "truncated to {keep} bytes");
-            }
+        // Burst: 1–4 contiguous bytes overwritten.
+        let mut burst = p.clone();
+        let n = g.usize(1, 5.min(burst.payload.len() + 1));
+        let start = g.usize(0, burst.payload.len() - n + 1);
+        let mut changed = false;
+        for i in start..start + n {
+            let b = g.byte();
+            let s = burst.payload.make_mut();
+            changed |= s[i] != b;
+            s[i] = b;
+        }
+        if changed {
+            assert!(!burst.verify(), "burst of {n} at {start}");
+        }
 
-            // Extension: append garbage.
-            let mut extended = Vec::from(p.payload.as_slice());
-            extended.extend(g.bytes(1, 32));
-            let ext = ApePacket {
-                payload: extended.into(),
+        // Truncation: drop trailing bytes (header msg_len unchanged).
+        if p.payload.len() > 1 {
+            let keep = g.usize(1, p.payload.len());
+            let trunc = ApePacket {
+                payload: Vec::from(&p.payload.as_slice()[..keep]).into(),
                 ..p.clone()
             };
-            assert!(!ext.verify(), "extended payload");
+            assert!(!trunc.verify(), "truncated to {keep} bytes");
+        }
 
-            // Header corruption: each addressed field in turn.
-            let mut h = p.clone();
-            h.dst_vaddr ^= 1 << g.u32(0, 48);
-            assert!(!h.verify(), "dst_vaddr flip");
-            let mut m = p.clone();
-            m.msg.seq ^= 1 << g.u32(0, 63);
-            assert!(!m.verify(), "msg seq flip");
-            let mut l = p.clone();
-            l.msg_len ^= 1 << g.u32(0, 32);
-            assert!(!l.verify(), "msg_len flip");
-            let mut e = p.clone();
-            e.ecn = !e.ecn;
-            assert!(!e.verify(), "ecn flip");
-            let mut cn = p.clone();
-            cn.cnp = !cn.cnp;
-            assert!(!cn.verify(), "cnp flip");
-        });
+        // Extension: append garbage.
+        let mut extended = Vec::from(p.payload.as_slice());
+        extended.extend(g.bytes(1, 32));
+        let ext = ApePacket {
+            payload: extended.into(),
+            ..p.clone()
+        };
+        assert!(!ext.verify(), "extended payload");
+
+        // Header corruption: each addressed field in turn.
+        let mut h = p.clone();
+        h.dst_vaddr ^= 1 << g.u32(0, 48);
+        assert!(!h.verify(), "dst_vaddr flip");
+        let mut m = p.clone();
+        m.msg.seq ^= 1 << g.u32(0, 63);
+        assert!(!m.verify(), "msg seq flip");
+        let mut l = p.clone();
+        l.msg_len ^= 1 << g.u32(0, 32);
+        assert!(!l.verify(), "msg_len flip");
+        let mut e = p.clone();
+        e.ecn = !e.ecn;
+        assert!(!e.verify(), "ecn flip");
+        let mut cn = p.clone();
+        cn.cnp = !cn.cnp;
+        assert!(!cn.verify(), "cnp flip");
     }
 }

@@ -28,6 +28,17 @@ bfs_smoke=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.tom
 echo "$bfs_smoke"
 grep -q '"correct": true' <<<"$bfs_smoke"
 
+# The same check on the message-passing workloads: every packet is
+# CRC-sealed and verified per hop, so a checksum mismatch anywhere (NAK
+# storms, replays) moves the det digest away from perfbench/expect/.
+for workload in p2p_sweep torus_faults; do
+    echo "==> perfbench $workload smoke (seed-1 outputs match perfbench/expect/)"
+    smoke=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$smoke"
+    grep -q '"correct": true' <<<"$smoke"
+done
+
 echo "==> trace-export smoke (Perfetto exporter self-validates nesting + JSON)"
 cargo run --release --offline -q -p apenet-bench --bin trace-export
 
