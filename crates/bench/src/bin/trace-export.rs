@@ -16,7 +16,7 @@
 
 use apenet_bench::results_dir;
 use apenet_cluster::harness::{
-    incast_run_slo_traced, pingpong_sampled_instrumented, BufSide, IncastParams, IncastVerb,
+    incast_run_slo_traced, pingpong_instrumented, BufSide, IncastParams, IncastVerb,
 };
 use apenet_cluster::presets::{cluster_i_default, cluster_i_incast, incast_dims};
 use apenet_cluster::OccupancySampler;
@@ -100,14 +100,14 @@ fn export_incast() {
 
 fn main() {
     let mut sampler = OccupancySampler::new(SimDuration::from_us(2));
-    let (half_rtt, records) = pingpong_sampled_instrumented(
+    let (half_rtt, records) = pingpong_instrumented(
         cluster_i_default(),
         BufSide::Gpu,
         BufSide::Gpu,
         4096,
         4,
         false,
-        &mut sampler,
+        Some(&mut sampler),
     );
     let mut events = perfetto::export(&records);
     // Counter tracks: every sampled series that ever left zero (the

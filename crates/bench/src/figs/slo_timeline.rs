@@ -19,7 +19,7 @@
 //! acceptance criteria, not just prose.
 
 use crate::emit;
-use apenet_cluster::harness::{incast_run_slo, IncastParams, IncastReport, IncastVerb};
+use apenet_cluster::harness::{incast_run_slo_traced, IncastParams, IncastReport, IncastVerb};
 use apenet_cluster::presets::{cluster_i_incast, incast_dims};
 use apenet_obs::alert::AlertKind;
 use apenet_obs::report::RunReport;
@@ -51,7 +51,7 @@ pub fn objective() -> SloConfig {
 
 /// One regime: `offered`× load with the overload plane off or on.
 pub fn regime(offered: u32, plane: bool) -> (IncastReport, RunReport) {
-    incast_run_slo(
+    let (report, slo, _) = incast_run_slo_traced(
         incast_dims(),
         cluster_i_incast(plane),
         IncastParams {
@@ -63,7 +63,8 @@ pub fn regime(offered: u32, plane: bool) -> (IncastReport, RunReport) {
             pacer: plane.then(PacerConfig::default),
         },
         objective(),
-    )
+    );
+    (report, slo)
 }
 
 /// Regenerate this experiment.

@@ -510,7 +510,7 @@ fn overload_benches(h: &mut Harness) {
 /// regression that fattens even one window's tail fails CI before any
 /// run-level average moves.
 fn slo_benches(h: &mut Harness) {
-    use apenet_cluster::harness::{incast_run_slo, IncastParams, IncastVerb};
+    use apenet_cluster::harness::{incast_run_slo_traced, IncastParams, IncastVerb};
     use apenet_cluster::presets::{cluster_i_incast, incast_dims};
     use apenet_obs::slo::SloConfig;
     use apenet_rdma::pacing::PacerConfig;
@@ -518,7 +518,7 @@ fn slo_benches(h: &mut Harness) {
 
     let mut worst_window_p99 = 0u64;
     h.bench("slo_window_incast_8to1", || {
-        let (r, mut slo) = incast_run_slo(
+        let (r, mut slo, _) = incast_run_slo_traced(
             incast_dims(),
             cluster_i_incast(true),
             IncastParams {

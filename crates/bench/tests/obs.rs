@@ -7,8 +7,8 @@ use apenet_bench::count_for;
 use apenet_bench::figs::latency_breakdown;
 use apenet_cluster::harness::{
     chaos_run, chaos_run_sampled, flush_read_bandwidth, get_chaos_run, pingpong_instrumented,
-    pingpong_sampled_instrumented, two_node_bandwidth, two_node_instrumented, two_node_profiled,
-    BufSide, ChaosParams, TwoNodeParams,
+    two_node_bandwidth, two_node_instrumented, two_node_profiled, BufSide, ChaosParams,
+    TwoNodeParams,
 };
 use apenet_cluster::presets::{cluster_i_chaos, cluster_i_default, plx_node};
 use apenet_cluster::OccupancySampler;
@@ -49,6 +49,7 @@ fn pingpong_perfetto_export_nests_and_parses() {
         4096,
         4,
         false,
+        None,
     );
     assert!(half_rtt.as_ps() > 0);
     assert!(!records.is_empty(), "tracing captured the exchange");
@@ -191,14 +192,14 @@ fn sampled_pingpong_exports_valid_counter_tracks() {
     // The trace-export bin's exact recipe: spans and counter tracks from
     // one sampled ping-pong, merged into a single validated trace.
     let mut sampler = OccupancySampler::new(SimDuration::from_us(2));
-    let (half_rtt, records) = pingpong_sampled_instrumented(
+    let (half_rtt, records) = pingpong_instrumented(
         cluster_i_default(),
         BufSide::Gpu,
         BufSide::Gpu,
         4096,
         4,
         false,
-        &mut sampler,
+        Some(&mut sampler),
     );
     assert!(half_rtt.as_ps() > 0);
     let mut events = perfetto::export(&records);
@@ -342,7 +343,7 @@ fn registry_snapshot_is_valid_json() {
 
 #[test]
 fn slo_metric_ids_are_complete_both_ways() {
-    use apenet_cluster::harness::{incast_run_slo, IncastParams, IncastVerb};
+    use apenet_cluster::harness::{incast_run_slo_traced, IncastParams, IncastVerb};
     use apenet_cluster::presets::{cluster_i_incast, incast_dims};
     use apenet_obs::report::metrics;
     use apenet_obs::slo::SloConfig;
@@ -352,7 +353,7 @@ fn slo_metric_ids_are_complete_both_ways() {
     // threshold — multi-hop 16 KiB PUTs can't make that) lights up
     // every SLO-plane publisher at once: windows fold, the budget
     // burns, and the pager fires, so even `alert.timeline` gets points.
-    let (_, slo) = incast_run_slo(
+    let (_, slo, _) = incast_run_slo_traced(
         incast_dims(),
         cluster_i_incast(true),
         IncastParams {

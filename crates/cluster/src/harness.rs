@@ -1,16 +1,34 @@
-//! The benchmark programs of §V, coded against the RDMA API.
+//! The benchmark programs of §V and the reliability workloads, coded
+//! against the RDMA API. Each entry point, and the plane it attaches:
 //!
 //! * [`flush_read_bandwidth`] — the Table I / Fig. 4 memory-read test:
 //!   "the test allocates a single receive buffer, then it enters a tight
 //!   loop, enqueuing as many RDMA PUT as possible as to keep the
 //!   transmission queue constantly full", with TX injection FIFOs flushed;
+//!   [`flush_read_with_trace`] adds a PCIe bus analyzer (Fig. 3);
 //! * [`loopback_bandwidth`] — the same loop against the internal switch
 //!   (Table I loop-back rows, Fig. 5);
 //! * [`two_node_bandwidth`] — the Fig. 6/7 uni-directional bandwidth test
 //!   for every source/destination buffer-kind combination, with optional
-//!   host staging (P2P=OFF);
+//!   host staging (P2P=OFF); its [`BwResult::submit_interval`] is the
+//!   Fig. 10 host overhead. [`two_node_instrumented`] adds a span
+//!   capture, [`two_node_profiled`] the sim-time profiler;
+//! * [`two_node_bidir_bandwidth`] — both directions at once;
 //! * [`pingpong_half_rtt`] — the Fig. 8/9 latency test (half round-trip);
-//! * sender-side submit intervals for the Fig. 10 host-overhead plot.
+//!   [`pingpong_instrumented`] adds a span capture and, optionally, an
+//!   occupancy sampler;
+//! * [`chaos_run`] — exactly-once PUT ring under link faults;
+//!   [`chaos_run_tail`] adds the tail plane, [`chaos_run_sampled`] an
+//!   occupancy sampler, and [`get_chaos_run`] swaps in the GET verb with
+//!   send-queue moderation;
+//! * [`incast_run`] — the overload-plane incast/hotspot storm;
+//!   [`incast_run_slo_traced`] adds the SLO plane and returns its span
+//!   capture; [`incast_single_flow_baseline`] is its 1-sender reference;
+//! * [`get_stream_bandwidth`] — the doorbell-batch GET sweep.
+//!
+//! Every run also honors the env planes: `APENET_TRACE`, `APENET_SAMPLE`
+//! and `APENET_PROFILE` on any cluster, `APENET_TAIL` on chaos runs and
+//! `APENET_SLO` on chaos and incast runs.
 
 use crate::cluster::{slo_from_env, tail_from_env, trace_sink_from_env, Cluster, ClusterBuilder};
 use crate::msg::{HostApi, HostIn, HostProgram, IdleProgram, NodeCtx};
@@ -18,14 +36,16 @@ use crate::node::NodeConfig;
 use crate::sampling::OccupancySampler;
 use apenet_core::config::TxSinkMode;
 use apenet_core::coord::{Coord, TorusDims};
+use apenet_core::packet::MsgId;
 use apenet_obs::alert::RuleSet;
 use apenet_obs::latency::{collect_ledgers, metrics as tail_metrics, TailConfig, TailSummary};
 use apenet_obs::recorder::{FlightRecorder, RetainReason};
 use apenet_obs::report::RunReport;
 use apenet_obs::slo::SloConfig;
 use apenet_obs::{CounterSnapshot, Registry};
-use apenet_rdma::api::{RdmaError, SrcHint};
+use apenet_rdma::api::{RdmaEndpoint, RdmaError, SrcHint};
 use apenet_rdma::completion::CompletionError;
+use apenet_rdma::driver::Watchdog;
 use apenet_rdma::pacing::{self, Pacer, PacerConfig};
 use apenet_rdma::signal::{self, SendQueue, SignalConfig};
 use apenet_rdma::staging::{staged_put, staged_recv_finish};
@@ -33,6 +53,7 @@ use apenet_sim::profile::SimProfile;
 use apenet_sim::trace::{kind as tk, SharedSink, SpanId, TraceRecord};
 use apenet_sim::{Bandwidth, SimDuration, SimTime};
 use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 /// Which memory a test buffer lives in.
@@ -151,7 +172,6 @@ impl HostProgram for StreamSender {
 /// The receiving side: registers the destination buffer and records
 /// deliveries; optionally finishes staged receptions with an H2D copy.
 struct StreamReceiver {
-    dst: BufSide,
     dst_vaddr: u64,
     size: u64,
     /// For staged (P2P=OFF) reception: copy up to this GPU address.
@@ -179,8 +199,80 @@ impl HostProgram for StreamReceiver {
                 api.now
             };
             rec.completions.push((done, len));
-            let _ = self.dst;
         }
+    }
+}
+
+/// A sender and a receiver sharing one node (loop-back, bi-directional):
+/// deliveries go to the receiver, everything else to the sender.
+struct Duplex {
+    sender: StreamSender,
+    receiver: StreamReceiver,
+}
+
+impl HostProgram for Duplex {
+    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        self.receiver.start(node, api);
+        self.sender.start(node, api);
+    }
+
+    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        match ev {
+            HostIn::Delivered { .. } => self.receiver.on_event(ev, node, api),
+            _ => self.sender.on_event(ev, node, api),
+        }
+    }
+}
+
+/// A program whose buffers are allocated when its node starts: `setup`
+/// runs once in `start` to build the inner program, which then starts
+/// and receives every later event.
+struct OnStart<F, P> {
+    setup: Option<F>,
+    inner: Option<P>,
+}
+
+impl<F: FnOnce(&mut NodeCtx) -> P, P: HostProgram> OnStart<F, P> {
+    fn new(setup: F) -> Self {
+        OnStart {
+            setup: Some(setup),
+            inner: None,
+        }
+    }
+}
+
+impl<F: FnOnce(&mut NodeCtx) -> P, P: HostProgram> HostProgram for OnStart<F, P> {
+    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        let setup = self.setup.take().expect("a host program starts once");
+        self.inner.insert(setup(node)).start(node, api);
+    }
+
+    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        if let Some(p) = &mut self.inner {
+            p.on_event(ev, node, api);
+        }
+    }
+}
+
+/// Build a cluster of `programs`, recording spans into `trace` if given.
+fn build(
+    dims: TorusDims,
+    node_cfg: NodeConfig,
+    trace: Option<SharedSink>,
+    programs: Vec<Box<dyn HostProgram>>,
+) -> Cluster {
+    let mut builder = ClusterBuilder::new(dims, node_cfg);
+    if let Some(t) = trace {
+        builder = builder.with_trace(t);
+    }
+    builder.build(programs)
+}
+
+/// Run `cluster` to quiescence, ticking `sampler` through it if given.
+fn run(cluster: &mut Cluster, sampler: Option<&mut OccupancySampler>) -> SimTime {
+    match sampler {
+        Some(s) => cluster.run_sampled(s),
+        None => cluster.run_auto(),
     }
 }
 
@@ -289,66 +381,39 @@ fn measure(records: &BenchRecords, size: u64) -> BwResult {
 
 /// Fig. 4 / Table I memory-read rows: single node, TX FIFO flushed.
 pub fn flush_read_bandwidth(node_cfg: NodeConfig, src: BufSide, size: u64, count: u32) -> BwResult {
-    flush_read_impl(node_cfg, src, size, count, None, None).0
+    flush_read_with_trace(node_cfg, src, size, count, None).0
 }
 
 /// [`flush_read_bandwidth`] with an optional bus-analyzer interposer on
 /// the card's PCIe uplink (the Fig. 3 setup); returns the capture.
 pub fn flush_read_with_trace(
-    node_cfg: NodeConfig,
+    mut node_cfg: NodeConfig,
     src: BufSide,
     size: u64,
     count: u32,
     sink: Option<SharedSink>,
 ) -> (BwResult, Vec<TraceRecord>) {
-    let (bw, analyzer, _) = flush_read_impl(node_cfg, src, size, count, sink, None);
-    (bw, analyzer)
-}
-
-/// [`flush_read_bandwidth`] with the card's span trace enabled: returns
-/// the measurement plus every span-correlated record the datapath
-/// emitted (post → fetch → stage → tx-done), for per-stage breakdowns.
-pub fn flush_read_instrumented(
-    node_cfg: NodeConfig,
-    src: BufSide,
-    size: u64,
-    count: u32,
-) -> (BwResult, Vec<TraceRecord>) {
-    let (bw, _, spans) = flush_read_impl(
-        node_cfg,
-        src,
-        size,
-        count,
-        None,
-        Some(SharedSink::capturing()),
-    );
-    (bw, spans)
-}
-
-fn flush_read_impl(
-    mut node_cfg: NodeConfig,
-    src: BufSide,
-    size: u64,
-    count: u32,
-    analyzer: Option<SharedSink>,
-    card_trace: Option<SharedSink>,
-) -> (BwResult, Vec<TraceRecord>, Vec<TraceRecord>) {
     node_cfg.card.tx_sink = TxSinkMode::Flush;
-    let dims = TorusDims::new(1, 1, 1);
     let records: Shared = Rc::new(RefCell::new(BenchRecords::default()));
-    let sender = ProbeSetupSender {
-        inner: None,
-        src,
-        size,
-        count,
-        records: records.clone(),
-    };
-    let mut builder = ClusterBuilder::new(dims, node_cfg);
-    if let Some(t) = card_trace {
-        builder = builder.with_trace(t);
-    }
-    let mut cluster = builder.build(vec![Box::new(sender)]);
-    let sink = analyzer.unwrap_or_else(SharedSink::null);
+    let rec = records.clone();
+    let sender = OnStart::new(move |node: &mut NodeCtx| {
+        let src_addr = alloc_buf(node, src, size);
+        fill_buf(node, src, src_addr, size, 0xA5);
+        StreamSender {
+            peer: node.coord, // self: flushed or loop-back
+            src,
+            src_addr,
+            dst_vaddr: src_addr, // unused in flush mode
+            size,
+            count,
+            window: 8,
+            issued: 0,
+            records: rec,
+        }
+    });
+    let dims = TorusDims::new(1, 1, 1);
+    let mut cluster = build(dims, node_cfg, None, vec![Box::new(sender)]);
+    let sink = sink.unwrap_or_else(SharedSink::null);
     if sink.enabled() {
         let shared = &cluster.nodes[0].shared;
         shared
@@ -358,42 +423,7 @@ fn flush_read_impl(
     }
     cluster.run_auto();
     let r = records.borrow();
-    (measure(&r, size), sink.take(), cluster.trace.take())
-}
-
-/// Wrapper that allocates its buffers lazily at start (single-node tests).
-struct ProbeSetupSender {
-    inner: Option<StreamSender>,
-    src: BufSide,
-    size: u64,
-    count: u32,
-    records: Shared,
-}
-
-impl HostProgram for ProbeSetupSender {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let src_addr = alloc_buf(node, self.src, self.size);
-        fill_buf(node, self.src, src_addr, self.size, 0xA5);
-        let mut s = StreamSender {
-            peer: node.coord, // self: flushed or loop-back
-            src: self.src,
-            src_addr,
-            dst_vaddr: src_addr, // unused in flush mode
-            size: self.size,
-            count: self.count,
-            window: 8,
-            issued: 0,
-            records: self.records.clone(),
-        };
-        s.start(node, api);
-        self.inner = Some(s);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        if let Some(s) = &mut self.inner {
-            s.on_event(ev, node, api);
-        }
-    }
+    (measure(&r, size), sink.take())
 }
 
 /// Single-node loop-back test (Table I loop-back rows, Fig. 5): the
@@ -407,16 +437,32 @@ pub fn loopback_bandwidth(
 ) -> BwResult {
     let dims = TorusDims::new(1, 1, 1);
     let records: Shared = Rc::new(RefCell::new(BenchRecords::default()));
-    let prog = LoopbackProgram {
-        sender: None,
-        receiver: None,
-        src,
-        dst,
-        size,
-        count,
-        records: records.clone(),
-    };
-    let mut cluster = ClusterBuilder::new(dims, node_cfg).build(vec![Box::new(prog)]);
+    let rec = records.clone();
+    let prog = OnStart::new(move |node: &mut NodeCtx| {
+        let src_addr = alloc_buf(node, src, size);
+        let dst_addr = alloc_buf(node, dst, size);
+        fill_buf(node, src, src_addr, size, 0x3C);
+        Duplex {
+            receiver: StreamReceiver {
+                dst_vaddr: dst_addr,
+                size,
+                staged_gpu_dst: None,
+                records: rec.clone(),
+            },
+            sender: StreamSender {
+                peer: node.coord,
+                src,
+                src_addr,
+                dst_vaddr: dst_addr,
+                size,
+                count,
+                window: 8,
+                issued: 0,
+                records: rec,
+            },
+        }
+    });
+    let mut cluster = build(dims, node_cfg, None, vec![Box::new(prog)]);
     cluster.run_auto();
     let r = records.borrow();
     let comps = &r.deliveries;
@@ -428,62 +474,6 @@ pub fn loopback_bandwidth(
         submit_interval: SimDuration::ZERO,
         first_completion: comps[0],
         first_submit: r.submits.first().copied().unwrap_or(SimTime::ZERO),
-    }
-}
-
-/// Loop-back = a sender and a receiver sharing one node.
-struct LoopbackProgram {
-    sender: Option<StreamSender>,
-    receiver: Option<StreamReceiver>,
-    src: BufSide,
-    dst: BufSide,
-    size: u64,
-    count: u32,
-    records: Shared,
-}
-
-impl HostProgram for LoopbackProgram {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let src_addr = alloc_buf(node, self.src, self.size);
-        let dst_addr = alloc_buf(node, self.dst, self.size);
-        fill_buf(node, self.src, src_addr, self.size, 0x3C);
-        let mut recv = StreamReceiver {
-            dst: self.dst,
-            dst_vaddr: dst_addr,
-            size: self.size,
-            staged_gpu_dst: None,
-            records: self.records.clone(),
-        };
-        recv.start(node, api);
-        let mut send = StreamSender {
-            peer: node.coord,
-            src: self.src,
-            src_addr,
-            dst_vaddr: dst_addr,
-            size: self.size,
-            count: self.count,
-            window: 8,
-            issued: 0,
-            records: self.records.clone(),
-        };
-        send.start(node, api);
-        self.sender = Some(send);
-        self.receiver = Some(recv);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        match &ev {
-            HostIn::Delivered { .. } => {
-                if let Some(r) = &mut self.receiver {
-                    r.on_event(ev, node, api);
-                }
-            }
-            _ => {
-                if let Some(s) = &mut self.sender {
-                    s.on_event(ev, node, api);
-                }
-            }
-        }
     }
 }
 
@@ -538,36 +528,57 @@ fn two_node_impl(
     // Destination addresses are deterministic: first allocation on the
     // receiver's memory. Compute them from the allocator's behaviour.
     let dst_vaddr = first_alloc_addr(&node_cfg, p.dst, p.size, p.staged);
+    let rec = records.clone();
     let sender: Box<dyn HostProgram> = if p.staged && p.src == BufSide::Gpu {
-        Box::new(StagedSetupSender {
-            inner: None,
-            size: p.size,
-            count: p.count,
-            dst_vaddr,
-            records: records.clone(),
-        })
+        Box::new(OnStart::new(move |node: &mut NodeCtx| {
+            let src_dev = alloc_buf(node, BufSide::Gpu, p.size);
+            let bounce = alloc_buf(node, BufSide::Host, p.size);
+            fill_buf(node, BufSide::Gpu, src_dev, p.size, 0x5A);
+            StagedSender {
+                peer: node.dims.coord_of(1),
+                src_dev,
+                bounce,
+                dst_vaddr,
+                size: p.size,
+                count: p.count,
+                issued: 0,
+                chunks_left: 0,
+                records: rec,
+            }
+        }))
     } else {
-        Box::new(TwoNodeSetupSender {
-            inner: None,
-            src: p.src,
-            size: p.size,
-            count: p.count,
-            dst_vaddr,
-            records: records.clone(),
-        })
+        Box::new(OnStart::new(move |node: &mut NodeCtx| {
+            let src_addr = alloc_buf(node, p.src, p.size);
+            fill_buf(node, p.src, src_addr, p.size, 0x5A);
+            StreamSender {
+                peer: node.dims.coord_of(1),
+                src: p.src,
+                src_addr,
+                dst_vaddr,
+                size: p.size,
+                count: p.count,
+                window: 8,
+                issued: 0,
+                records: rec,
+            }
+        }))
     };
-    let receiver = Box::new(TwoNodeSetupReceiver {
-        inner: None,
-        dst: p.dst,
-        size: p.size,
-        staged: p.staged,
-        records: records.clone(),
+    let rec = records.clone();
+    let receiver = OnStart::new(move |node: &mut NodeCtx| {
+        let (landing, staged_gpu_dst) = if p.staged && p.dst == BufSide::Gpu {
+            let bounce = alloc_buf(node, BufSide::Host, p.size);
+            (bounce, Some(alloc_buf(node, BufSide::Gpu, p.size)))
+        } else {
+            (alloc_buf(node, p.dst, p.size), None)
+        };
+        StreamReceiver {
+            dst_vaddr: landing,
+            size: p.size,
+            staged_gpu_dst,
+            records: rec,
+        }
     });
-    let mut builder = ClusterBuilder::new(dims, node_cfg);
-    if let Some(t) = trace {
-        builder = builder.with_trace(t);
-    }
-    let mut cluster = builder.build(vec![sender, receiver]);
+    let mut cluster = build(dims, node_cfg, trace, vec![sender, Box::new(receiver)]);
     if profile {
         cluster.sim.attach_profiler(crate::msg::kind_of);
     }
@@ -588,111 +599,6 @@ fn first_alloc_addr(node_cfg: &NodeConfig, side: BufSide, size: u64, staged: boo
     }
 }
 
-struct TwoNodeSetupSender {
-    inner: Option<StreamSender>,
-    src: BufSide,
-    size: u64,
-    count: u32,
-    dst_vaddr: u64,
-    records: Shared,
-}
-
-impl HostProgram for TwoNodeSetupSender {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let src_addr = alloc_buf(node, self.src, self.size);
-        fill_buf(node, self.src, src_addr, self.size, 0x5A);
-        let mut s = StreamSender {
-            peer: node.dims.coord_of(1),
-            src: self.src,
-            src_addr,
-            dst_vaddr: self.dst_vaddr,
-            size: self.size,
-            count: self.count,
-            window: 8,
-            issued: 0,
-            records: self.records.clone(),
-        };
-        s.start(node, api);
-        self.inner = Some(s);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        if let Some(s) = &mut self.inner {
-            s.on_event(ev, node, api);
-        }
-    }
-}
-
-struct StagedSetupSender {
-    inner: Option<StagedSender>,
-    size: u64,
-    count: u32,
-    dst_vaddr: u64,
-    records: Shared,
-}
-
-impl HostProgram for StagedSetupSender {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let src_dev = alloc_buf(node, BufSide::Gpu, self.size);
-        let bounce = alloc_buf(node, BufSide::Host, self.size);
-        fill_buf(node, BufSide::Gpu, src_dev, self.size, 0x5A);
-        let mut s = StagedSender {
-            peer: node.dims.coord_of(1),
-            src_dev,
-            bounce,
-            dst_vaddr: self.dst_vaddr,
-            size: self.size,
-            count: self.count,
-            issued: 0,
-            chunks_left: 0,
-            records: self.records.clone(),
-        };
-        s.start(node, api);
-        self.inner = Some(s);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        if let Some(s) = &mut self.inner {
-            s.on_event(ev, node, api);
-        }
-    }
-}
-
-struct TwoNodeSetupReceiver {
-    inner: Option<StreamReceiver>,
-    dst: BufSide,
-    size: u64,
-    staged: bool,
-    records: Shared,
-}
-
-impl HostProgram for TwoNodeSetupReceiver {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let (dst_vaddr, staged_gpu_dst) = if self.staged && self.dst == BufSide::Gpu {
-            let bounce = alloc_buf(node, BufSide::Host, self.size);
-            let gpu = alloc_buf(node, BufSide::Gpu, self.size);
-            (bounce, Some(gpu))
-        } else {
-            (alloc_buf(node, self.dst, self.size), None)
-        };
-        let mut r = StreamReceiver {
-            dst: self.dst,
-            dst_vaddr,
-            size: self.size,
-            staged_gpu_dst,
-            records: self.records.clone(),
-        };
-        r.start(node, api);
-        self.inner = Some(r);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        if let Some(r) = &mut self.inner {
-            r.on_event(ev, node, api);
-        }
-    }
-}
-
 /// Ping-pong latency test: returns the half round-trip time.
 pub fn pingpong_half_rtt(
     node_cfg: NodeConfig,
@@ -708,7 +614,9 @@ pub fn pingpong_half_rtt(
 /// [`pingpong_half_rtt`] with both cards' span traces enabled: returns
 /// the latency plus the span-correlated trace of every PUT in the
 /// exchange (the input to the Perfetto exporter and the latency
-/// breakdown report).
+/// breakdown report). With a `sampler`, occupancy series tick through
+/// the same run, so spans and counters share one timeline — what the
+/// Perfetto export wants (counter tracks under the message slices).
 pub fn pingpong_instrumented(
     node_cfg: NodeConfig,
     src: BufSide,
@@ -716,6 +624,7 @@ pub fn pingpong_instrumented(
     size: u64,
     iters: u32,
     staged: bool,
+    sampler: Option<&mut OccupancySampler>,
 ) -> (SimDuration, Vec<TraceRecord>) {
     pingpong_impl(
         node_cfg,
@@ -725,33 +634,7 @@ pub fn pingpong_instrumented(
         iters,
         staged,
         Some(SharedSink::capturing()),
-        None,
-    )
-}
-
-/// [`pingpong_instrumented`] with an [`OccupancySampler`] ticking
-/// through the same run: spans and occupancy series share one timeline,
-/// which is what the Perfetto export wants (counter tracks under the
-/// message slices).
-#[allow(clippy::too_many_arguments)]
-pub fn pingpong_sampled_instrumented(
-    node_cfg: NodeConfig,
-    src: BufSide,
-    dst: BufSide,
-    size: u64,
-    iters: u32,
-    staged: bool,
-    sampler: &mut OccupancySampler,
-) -> (SimDuration, Vec<TraceRecord>) {
-    pingpong_impl(
-        node_cfg,
-        src,
-        dst,
-        size,
-        iters,
-        staged,
-        Some(SharedSink::capturing()),
-        Some(sampler),
+        sampler,
     )
 }
 
@@ -769,41 +652,25 @@ fn pingpong_impl(
     let dims = TorusDims::new(2, 1, 1);
     let records: Shared = Rc::new(RefCell::new(BenchRecords::default()));
     let peer_dst = first_alloc_addr(&node_cfg, dst, size, staged);
-    let initiator = Box::new(PingPongProgram {
-        initiator: true,
-        src,
-        dst,
-        size,
-        iters,
-        staged,
-        peer_dst,
-        addrs: None,
-        done: 0,
-        timer_start: None,
-        records: records.clone(),
-    });
-    let responder = Box::new(PingPongProgram {
-        initiator: false,
-        src,
-        dst,
-        size,
-        iters,
-        staged,
-        peer_dst,
-        addrs: None,
-        done: 0,
-        timer_start: None,
-        records: records.clone(),
-    });
-    let mut builder = ClusterBuilder::new(dims, node_cfg);
-    if let Some(t) = trace {
-        builder = builder.with_trace(t);
-    }
-    let mut cluster = builder.build(vec![initiator, responder]);
-    match sampler {
-        Some(s) => cluster.run_sampled(s),
-        None => cluster.run_auto(),
-    };
+    let programs: Vec<Box<dyn HostProgram>> = (0..2)
+        .map(|rank| {
+            Box::new(PingPongProgram {
+                initiator: rank == 0,
+                src,
+                dst,
+                size,
+                iters,
+                staged,
+                peer_dst,
+                addrs: None,
+                done: 0,
+                timer_start: None,
+                records: records.clone(),
+            }) as Box<dyn HostProgram>
+        })
+        .collect();
+    let mut cluster = build(dims, node_cfg, trace, programs);
+    run(&mut cluster, sampler);
     let r = records.borrow();
     // completions[0] is the timer start (after warm-up); the last is the
     // final pong. Each iteration is one full round trip.
@@ -935,69 +802,11 @@ impl HostProgram for PingPongProgram {
     }
 }
 
-/// A node that both streams to its peer and receives (the bi-directional
-/// test the paper alludes to: "the APEnet+ bi-directional bandwidth …
-/// will reflect a similar behaviour" to the loop-back plot, §IV).
-struct BidirProgram {
-    src: BufSide,
-    dst: BufSide,
-    size: u64,
-    count: u32,
-    peer_rank: usize,
-    dst_vaddr: u64,
-    sender: Option<StreamSender>,
-    receiver: Option<StreamReceiver>,
-    records: Shared,
-}
-
-impl HostProgram for BidirProgram {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        // Allocation order matches on both ranks: dst first, then src.
-        let dst_addr = alloc_buf(node, self.dst, self.size);
-        let src_addr = alloc_buf(node, self.src, self.size);
-        fill_buf(node, self.src, src_addr, self.size, node.rank as u8);
-        let mut recv = StreamReceiver {
-            dst: self.dst,
-            dst_vaddr: dst_addr,
-            size: self.size,
-            staged_gpu_dst: None,
-            records: self.records.clone(),
-        };
-        recv.start(node, api);
-        let mut send = StreamSender {
-            peer: node.dims.coord_of(self.peer_rank),
-            src: self.src,
-            src_addr,
-            dst_vaddr: self.dst_vaddr,
-            size: self.size,
-            count: self.count,
-            window: 8,
-            issued: 0,
-            records: self.records.clone(),
-        };
-        send.start(node, api);
-        self.sender = Some(send);
-        self.receiver = Some(recv);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        match &ev {
-            HostIn::Delivered { .. } => {
-                if let Some(r) = &mut self.receiver {
-                    r.on_event(ev, node, api);
-                }
-            }
-            _ => {
-                if let Some(s) = &mut self.sender {
-                    s.on_event(ev, node, api);
-                }
-            }
-        }
-    }
-}
-
-/// Two-node bi-directional bandwidth: both nodes stream simultaneously;
-/// returns the *aggregate* (sum of both directions) steady bandwidth.
+/// Two-node bi-directional bandwidth (the test the paper alludes to:
+/// "the APEnet+ bi-directional bandwidth … will reflect a similar
+/// behaviour" to the loop-back plot, §IV): both nodes stream
+/// simultaneously; returns the *aggregate* (sum of both directions)
+/// steady bandwidth.
 pub fn two_node_bidir_bandwidth(
     node_cfg: NodeConfig,
     src: BufSide,
@@ -1010,20 +819,35 @@ pub fn two_node_bidir_bandwidth(
     let dst_vaddr = first_alloc_addr(&node_cfg, dst, size, false);
     let programs: Vec<Box<dyn HostProgram>> = (0..2)
         .map(|rank| {
-            Box::new(BidirProgram {
-                src,
-                dst,
-                size,
-                count,
-                peer_rank: 1 - rank,
-                dst_vaddr,
-                sender: None,
-                receiver: None,
-                records: records.clone(),
-            }) as Box<dyn HostProgram>
+            let rec = records.clone();
+            Box::new(OnStart::new(move |node: &mut NodeCtx| {
+                // Allocation order matches on both ranks: dst first, then src.
+                let dst_addr = alloc_buf(node, dst, size);
+                let src_addr = alloc_buf(node, src, size);
+                fill_buf(node, src, src_addr, size, node.rank as u8);
+                Duplex {
+                    receiver: StreamReceiver {
+                        dst_vaddr: dst_addr,
+                        size,
+                        staged_gpu_dst: None,
+                        records: rec.clone(),
+                    },
+                    sender: StreamSender {
+                        peer: node.dims.coord_of(1 - rank),
+                        src,
+                        src_addr,
+                        dst_vaddr,
+                        size,
+                        count,
+                        window: 8,
+                        issued: 0,
+                        records: rec,
+                    },
+                }
+            })) as Box<dyn HostProgram>
         })
         .collect();
-    let mut cluster = ClusterBuilder::new(dims, node_cfg).build(programs);
+    let mut cluster = build(dims, node_cfg, None, programs);
     cluster.run_auto();
     let r = records.borrow();
     // Deliveries from both directions interleave; aggregate rate over the
@@ -1205,38 +1029,179 @@ fn build_slo_report(
     RunReport::build(&ledgers, cfg, &RuleSet::default())
 }
 
-/// A re-issuable chaos descriptor: the verb decides how the watchdog
-/// hands an expired message back to the card.
+/// A re-issuable reliability-run descriptor: the verb decides how the
+/// watchdog hands an expired message back to the card.
 #[derive(Debug, Clone)]
 enum ChaosDesc {
     Put(apenet_core::card::TxDesc),
     Get(apenet_core::card::GetDesc),
 }
 
-struct ChaosShared {
-    watchdog: apenet_rdma::driver::Watchdog,
-    delivered: std::collections::BTreeSet<apenet_core::packet::MsgId>,
-    descs: std::collections::BTreeMap<apenet_core::packet::MsgId, ChaosDesc>,
-    /// Expired messages routed back to their source rank for re-issue.
-    reissue: Vec<std::collections::VecDeque<ChaosDesc>>,
-    /// Escalated messages routed back to their source rank, to complete
-    /// with a typed error on that rank's completion queue.
-    failed: Vec<std::collections::VecDeque<apenet_core::packet::MsgId>>,
-    /// Per-rank send-queue moderation models (GET runs only; empty on
-    /// PUT runs).
-    sendqs: Vec<SendQueue>,
+/// Where a delivered message's bytes landed, and whose TX stream they
+/// copy.
+struct Landing {
+    /// Rank whose GPU holds the bytes.
+    rank: usize,
+    /// Landing address on that rank.
+    addr: u64,
+    /// Rank whose TX buffer the bytes were read from.
+    owner: u32,
+    /// Source address in the owner's TX buffer.
+    from: u64,
+    len: u64,
 }
 
-struct ChaosRank {
-    rank: u32,
-    msgs: u32,
-    msg_len: u64,
-    reissue: bool,
-    poll: SimDuration,
-    peer: Coord,
-    tx_buf: u64,
-    rx_buf: u64,
-    shared: Rc<RefCell<ChaosShared>>,
+impl ChaosDesc {
+    /// Post one `len`-byte GPU message between this node and `peer`: a
+    /// PUT streams local `from` into the peer's `to`, a GET reads the
+    /// peer's `from` into local `to`.
+    fn post(
+        ep: &mut RdmaEndpoint,
+        verb: IncastVerb,
+        from: u64,
+        to: u64,
+        len: u64,
+        peer: Coord,
+    ) -> Result<(ChaosDesc, SimDuration), RdmaError> {
+        match verb {
+            IncastVerb::Put => ep
+                .put(from, len, peer, to, SrcHint::Gpu)
+                .map(|out| (ChaosDesc::Put(out.desc), out.host_cost)),
+            IncastVerb::Get => ep
+                .get(to, len, peer, from, SrcHint::Gpu)
+                .map(|out| (ChaosDesc::Get(out.desc), out.host_cost)),
+        }
+    }
+
+    fn msg(&self) -> MsgId {
+        match self {
+            ChaosDesc::Put(d) => d.msg,
+            ChaosDesc::Get(g) => g.msg,
+        }
+    }
+
+    /// Hand the descriptor to the local card after `delay`.
+    fn submit(self, api: &mut HostApi<'_, '_>, delay: SimDuration) {
+        match self {
+            ChaosDesc::Put(d) => api.submit(delay, d),
+            ChaosDesc::Get(g) => api.submit_get(delay, g),
+        }
+    }
+
+    /// A PUT lands at its destination and copies its source rank's
+    /// stream; a GET lands on its requester and copies the responder's.
+    fn landing(&self, dims: TorusDims) -> Landing {
+        match self {
+            ChaosDesc::Put(d) => Landing {
+                rank: dims.rank_of(d.dst),
+                addr: d.dst_vaddr,
+                owner: d.msg.src_rank,
+                from: d.src_addr,
+                len: d.len,
+            },
+            ChaosDesc::Get(g) => Landing {
+                rank: g.msg.src_rank as usize,
+                addr: g.local_vaddr,
+                owner: dims.rank_of(g.peer) as u32,
+                from: g.peer_vaddr,
+                len: g.len,
+            },
+        }
+    }
+}
+
+/// The cluster-shared state of a reliability run (chaos ring or incast
+/// storm): one watchdog over every rank's messages, the exactly-once
+/// delivery set, and the per-rank queues the watchdog routes work home
+/// through.
+struct ChaosShared {
+    watchdog: Watchdog,
+    delivered: BTreeSet<MsgId>,
+    descs: BTreeMap<MsgId, ChaosDesc>,
+    /// Expired messages routed back to their source rank for re-issue.
+    reissue: Vec<VecDeque<ChaosDesc>>,
+    /// Escalated messages routed back to their source rank, to complete
+    /// with a typed error on that rank's completion queue.
+    failed: Vec<VecDeque<MsgId>>,
+    /// Per-rank send-queue moderation models (GET chaos runs only;
+    /// empty otherwise).
+    sendqs: Vec<SendQueue>,
+    /// Each stream-owning rank's TX buffer: byte `o` of rank `r`'s is
+    /// `chaos_byte(r, o)`.
+    tx_base: Vec<u64>,
+}
+
+impl ChaosShared {
+    /// Arm the watchdog on a freshly posted message and keep its
+    /// descriptor for re-issue.
+    fn track(&mut self, desc: &ChaosDesc, now: SimTime) {
+        self.watchdog.arm(desc.msg(), now);
+        self.descs.insert(desc.msg(), desc.clone());
+    }
+
+    /// Fill `rank`'s TX buffer at `tx` with its `len`-byte stream and
+    /// record where it lives, for the payload verifier.
+    fn write_stream(&mut self, node: &NodeCtx, rank: u32, tx: u64, len: u64) {
+        let data: Vec<u8> = (0..len).map(|o| chaos_byte(rank, o)).collect();
+        node.cuda[0].borrow_mut().mem.write(tx, &data).unwrap();
+        self.tx_base[rank as usize] = tx;
+    }
+
+    /// Record a delivery on `rank`, retiring its WQE if `rank` posts
+    /// through a send queue.
+    fn deliver(&mut self, rank: usize, msg: MsgId) {
+        self.delivered.insert(msg);
+        self.watchdog.disarm(&msg);
+        if let Some(sq) = self.sendqs.get_mut(rank) {
+            retire_wqe(sq, &msg);
+        }
+    }
+
+    /// One host wake-up's watchdog duty on `rank`: route every
+    /// globally-expired message to its source rank (the watchdog re-armed
+    /// each with a backed-off deadline), then drain this rank's own
+    /// queues — re-issues first, then escalations, which complete with a
+    /// typed error on the completion queue: the watchdog's bounded
+    /// give-up is never a silent drop.
+    fn service(&mut self, rank: usize, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        let ex = self.watchdog.poll_expired(api.now);
+        for msg in ex.reissue {
+            let desc = self.descs[&msg].clone();
+            self.reissue[msg.src_rank as usize].push_back(desc);
+        }
+        for msg in ex.failed {
+            self.failed[msg.src_rank as usize].push_back(msg);
+        }
+        while let Some(desc) = self.reissue[rank].pop_front() {
+            desc.submit(api, SimDuration::ZERO);
+        }
+        while let Some(msg) = self.failed[rank].pop_front() {
+            node.cq
+                .push_error(msg, api.now, CompletionError::Unreachable);
+            // An escalated GET still terminates its WQE: the error
+            // completion retires it so the batch behind it can drain.
+            if let Some(sq) = self.sendqs.get_mut(rank) {
+                retire_wqe(sq, &msg);
+            }
+        }
+    }
+
+    /// Whether anything in the cluster still needs the watchdog poll.
+    fn armed(&self) -> bool {
+        self.watchdog.outstanding() > 0
+            || self.reissue.iter().any(|q| !q.is_empty())
+            || self.failed.iter().any(|q| !q.is_empty())
+    }
+}
+
+/// Retire `msg`'s WQE. Reap at the latest when the CQ is half full, so
+/// moderation keeps retiring in batches without ever overflowing the
+/// depth.
+fn retire_wqe(sq: &mut SendQueue, msg: &MsgId) {
+    sq.complete(msg);
+    if sq.cq_occupancy() * 2 >= sq.cq_depth().max(1) {
+        let _ = sq.reap();
+    }
 }
 
 /// The deterministic payload byte of `(src_rank, byte offset)` — the
@@ -1248,79 +1213,179 @@ fn chaos_byte(src_rank: u32, off: u64) -> u8 {
         ^ 0x5A
 }
 
-impl ChaosRank {
-    fn pump(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let mut sh = self.shared.borrow_mut();
-        // Route every globally-expired message to its source rank (the
-        // watchdog re-armed each with a backed-off deadline), then drain
-        // this rank's own queues. Escalated messages complete with a
-        // typed error on their source rank's completion queue — the
-        // watchdog's bounded give-up is never a silent drop.
-        let ex = sh.watchdog.poll_expired(api.now);
-        for msg in ex.reissue {
-            let desc = sh.descs[&msg].clone();
-            sh.reissue[msg.src_rank as usize].push_back(desc);
-        }
-        for msg in ex.failed {
-            sh.failed[msg.src_rank as usize].push_back(msg);
-        }
-        while let Some(desc) = sh.reissue[self.rank as usize].pop_front() {
-            match desc {
-                ChaosDesc::Put(d) => api.submit(SimDuration::ZERO, d),
-                ChaosDesc::Get(d) => api.submit_get(SimDuration::ZERO, d),
-            }
-        }
-        while let Some(msg) = sh.failed[self.rank as usize].pop_front() {
-            node.cq.push_error(
-                msg,
-                api.now,
-                apenet_rdma::completion::CompletionError::Unreachable,
-            );
-        }
-        // Keep polling while anything in the cluster is still armed.
-        if sh.watchdog.outstanding() > 0
-            || sh.reissue.iter().any(|q| !q.is_empty())
-            || sh.failed.iter().any(|q| !q.is_empty())
-        {
-            api.wake(self.poll, 0);
+/// Byte-exact check of every delivered message: its landing range must
+/// hold the owner's stream at the message's offset in the owner's TX
+/// buffer. Undelivered messages are skipped — with recovery disabled,
+/// lost messages leave their slots unwritten.
+fn payload_ok(cluster: &Cluster, sh: &ChaosShared) -> bool {
+    sh.descs
+        .iter()
+        .filter(|(m, _)| sh.delivered.contains(m))
+        .all(|(_, desc)| {
+            let l = desc.landing(cluster.dims);
+            let got = cluster.host(l.rank).node.cuda[0]
+                .borrow_mut()
+                .mem
+                .read_vec(l.addr, l.len)
+                .expect("landing range lies in the rank's GPU memory");
+            let off = l.from - sh.tx_base[l.owner as usize];
+            got.iter()
+                .zip(off..)
+                .all(|(&b, o)| b == chaos_byte(l.owner, o))
+        })
+}
+
+/// The skeleton every reliability run shares. Every counter a report
+/// quotes flows through the per-run registry `reg`: the watchdog mirrors
+/// its alarms in, send queues and pacers mirror their activity, and each
+/// card publishes its link-reliability totals after the run. The
+/// signaling and pacing ids are pre-created at zero so every run
+/// publishes the full id set.
+struct Rig {
+    reg: Registry,
+    /// Host poll period of the watchdog duty: a quarter of its timeout.
+    poll: SimDuration,
+    shared: Rc<RefCell<ChaosShared>>,
+}
+
+/// Completion-queue and card totals of a finished reliability run.
+struct Totals {
+    duplicates: u64,
+    error_completions: u64,
+    last_delivery: SimTime,
+    quiesced: bool,
+}
+
+impl Rig {
+    fn new(n: usize, node_cfg: &NodeConfig) -> Rig {
+        let reg = Registry::new();
+        signal::register_metrics(&reg);
+        pacing::register_metrics(&reg);
+        let wd_cfg = node_cfg.driver.watchdog.clone();
+        let poll = SimDuration::from_ps((wd_cfg.timeout.as_ps() / 4).max(1));
+        let mut watchdog = Watchdog::new(wd_cfg);
+        watchdog.attach_metrics(&reg);
+        let shared = ChaosShared {
+            watchdog,
+            delivered: BTreeSet::new(),
+            descs: BTreeMap::new(),
+            reissue: vec![VecDeque::new(); n],
+            failed: vec![VecDeque::new(); n],
+            sendqs: Vec::new(),
+            tx_base: vec![0; n],
+        };
+        Rig {
+            reg,
+            poll,
+            shared: Rc::new(RefCell::new(shared)),
         }
     }
+
+    /// Sum every rank's completion-queue totals and publish every card's
+    /// link-reliability counters into the run registry.
+    fn totals(&self, cluster: &Cluster) -> Totals {
+        let mut t = Totals {
+            duplicates: 0,
+            error_completions: 0,
+            last_delivery: SimTime::ZERO,
+            quiesced: true,
+        };
+        for r in 0..cluster.dims.nodes() {
+            let cq = &cluster.host(r).node.cq;
+            t.duplicates += cq.duplicate_count();
+            t.error_completions += cq.error_count() as u64;
+            if let Some(at) = cq.last_delivery() {
+                t.last_delivery = t.last_delivery.max(at);
+            }
+            let card = cluster.card(r).card();
+            t.quiesced &= card.quiesced();
+            card.publish_link_metrics(&self.reg);
+        }
+        t
+    }
+}
+
+/// The span-trace planes a reliability run folds after it ends: an
+/// explicit config wins, else `APENET_SLO` — and, on runs that fold a
+/// tail report (`tail_env`), `APENET_TAIL` — requests the plane. Either
+/// plane needs a span trace, so the third value is the sink to attach:
+/// whatever `APENET_TRACE` asks for, forcing an unbounded capture only
+/// when tracing is otherwise off. Tracing is pure observation, so the
+/// schedule — and the run's report — are unchanged either way.
+fn resolve_planes(
+    tail: Option<TailConfig>,
+    slo: Option<SloConfig>,
+    tail_env: bool,
+) -> (Option<TailConfig>, Option<SloConfig>, Option<SharedSink>) {
+    let tail = if tail_env {
+        tail.or_else(tail_from_env)
+    } else {
+        tail
+    };
+    let slo = slo.or_else(slo_from_env);
+    let sink = (tail.is_some() || slo.is_some()).then(|| {
+        let sink = trace_sink_from_env();
+        if sink.enabled() {
+            sink
+        } else {
+            SharedSink::capturing()
+        }
+    });
+    (tail, slo, sink)
+}
+
+/// One rank of the chaos ring. With the PUT verb it streams its TX
+/// region into its ring successor's RX buffer; with the GET verb it
+/// *reads* the successor's TX region into its own RX buffer, posting
+/// through send-queue moderation (selective signaling + doorbell
+/// batching). The completion side — PUT destination or GET requester —
+/// runs the watchdog, re-issue and Unreachable escalation, composed with
+/// whatever the fault plan does to the streams.
+struct ChaosRank {
+    rank: u32,
+    msgs: u32,
+    msg_len: u64,
+    verb: IncastVerb,
+    reissue: bool,
+    poll: SimDuration,
+    peer: Coord,
+    shared: Rc<RefCell<ChaosShared>>,
 }
 
 impl HostProgram for ChaosRank {
     fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
         let region = (self.msgs as u64 * self.msg_len).max(1);
         // Allocation order is identical on every rank, so this rank's RX
-        // address equals its peer's — senders can address peer memory
-        // without an out-of-band exchange.
-        self.rx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
-        self.tx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
-        node.ep.register(self.rx_buf, region).unwrap();
-        node.ep.register(self.tx_buf, region).unwrap();
-        let data: Vec<u8> = (0..region).map(|o| chaos_byte(self.rank, o)).collect();
-        node.cuda[0]
+        // and TX addresses equal its peer's: a PUT names the peer's RX
+        // slot, a GET the peer's TX stream, without an out-of-band
+        // exchange.
+        let rx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
+        let tx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
+        node.ep.register(rx_buf, region).unwrap();
+        node.ep.register(tx_buf, region).unwrap();
+        self.shared
             .borrow_mut()
-            .mem
-            .write(self.tx_buf, &data)
-            .unwrap();
+            .write_stream(node, self.rank, tx_buf, region);
         for i in 0..self.msgs {
             let off = i as u64 * self.msg_len;
-            let out = node
-                .ep
-                .put(
-                    self.tx_buf + off,
-                    self.msg_len,
-                    self.peer,
-                    self.rx_buf + off,
-                    SrcHint::Gpu,
-                )
-                .unwrap();
+            let (desc, host_cost) = ChaosDesc::post(
+                &mut node.ep,
+                self.verb,
+                tx_buf + off,
+                rx_buf + off,
+                self.msg_len,
+                self.peer,
+            )
+            .unwrap();
             let mut sh = self.shared.borrow_mut();
-            sh.watchdog.arm(out.desc.msg, api.now);
-            sh.descs
-                .insert(out.desc.msg, ChaosDesc::Put(out.desc.clone()));
+            sh.track(&desc, api.now);
+            // The last post of a moderated burst is force-signaled so the
+            // tail of unsignaled WQEs always retires.
+            if let Some(sq) = sh.sendqs.get_mut(self.rank as usize) {
+                sq.post(desc.msg(), i + 1 == self.msgs);
+            }
             drop(sh);
-            api.submit(out.host_cost, out.desc);
+            desc.submit(api, host_cost);
         }
         if self.reissue {
             api.wake(self.poll, 0);
@@ -1330,133 +1395,16 @@ impl HostProgram for ChaosRank {
     fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
         match ev {
             HostIn::Delivered { msg, .. } => {
+                self.shared.borrow_mut().deliver(self.rank as usize, msg);
+            }
+            HostIn::Wake(_) if self.reissue => {
                 let mut sh = self.shared.borrow_mut();
-                sh.delivered.insert(msg);
-                sh.watchdog.disarm(&msg);
+                sh.service(self.rank as usize, node, api);
+                // Keep polling while anything in the cluster is still armed.
+                if sh.armed() {
+                    api.wake(self.poll, 0);
+                }
             }
-            HostIn::Wake(_) if self.reissue => self.pump(node, api),
-            _ => {}
-        }
-    }
-}
-
-/// The GET-verb chaos rank: every rank *reads* its ring successor's TX
-/// region into its own RX buffer with one-sided GETs, posting each GET
-/// through send-queue moderation (selective signaling + doorbell
-/// batching). The requester is the completion side, so the watchdog,
-/// re-issue and Unreachable escalation all run here — composed with
-/// whatever the fault plan does to the request and reply streams.
-struct GetChaosRank {
-    rank: u32,
-    msgs: u32,
-    msg_len: u64,
-    reissue: bool,
-    poll: SimDuration,
-    peer: Coord,
-    tx_buf: u64,
-    rx_buf: u64,
-    shared: Rc<RefCell<ChaosShared>>,
-}
-
-impl GetChaosRank {
-    fn reap_if_due(sh: &mut ChaosShared, rank: usize) {
-        let sq = &mut sh.sendqs[rank];
-        // Reap at the latest when the CQ is half full, so moderation
-        // keeps retiring in batches without ever overflowing the depth.
-        if sq.cq_occupancy() * 2 >= sq.cq_depth().max(1) {
-            let _ = sq.reap();
-        }
-    }
-
-    fn pump(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let mut sh = self.shared.borrow_mut();
-        let ex = sh.watchdog.poll_expired(api.now);
-        for msg in ex.reissue {
-            let desc = sh.descs[&msg].clone();
-            sh.reissue[msg.src_rank as usize].push_back(desc);
-        }
-        for msg in ex.failed {
-            sh.failed[msg.src_rank as usize].push_back(msg);
-        }
-        while let Some(desc) = sh.reissue[self.rank as usize].pop_front() {
-            match desc {
-                ChaosDesc::Put(d) => api.submit(SimDuration::ZERO, d),
-                ChaosDesc::Get(d) => api.submit_get(SimDuration::ZERO, d),
-            }
-        }
-        while let Some(msg) = sh.failed[self.rank as usize].pop_front() {
-            node.cq.push_error(
-                msg,
-                api.now,
-                apenet_rdma::completion::CompletionError::Unreachable,
-            );
-            // An escalated GET still terminates its WQE: the error
-            // completion retires it so the batch behind it can drain.
-            sh.sendqs[self.rank as usize].complete(&msg);
-            Self::reap_if_due(&mut sh, self.rank as usize);
-        }
-        if sh.watchdog.outstanding() > 0
-            || sh.reissue.iter().any(|q| !q.is_empty())
-            || sh.failed.iter().any(|q| !q.is_empty())
-        {
-            api.wake(self.poll, 0);
-        }
-    }
-}
-
-impl HostProgram for GetChaosRank {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let region = (self.msgs as u64 * self.msg_len).max(1);
-        // Identical allocation order on every rank: this rank's TX
-        // address equals its peer's, so requesters can name remote
-        // source memory without an out-of-band exchange.
-        self.rx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
-        self.tx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
-        node.ep.register(self.rx_buf, region).unwrap();
-        node.ep.register(self.tx_buf, region).unwrap();
-        let data: Vec<u8> = (0..region).map(|o| chaos_byte(self.rank, o)).collect();
-        node.cuda[0]
-            .borrow_mut()
-            .mem
-            .write(self.tx_buf, &data)
-            .unwrap();
-        for i in 0..self.msgs {
-            let off = i as u64 * self.msg_len;
-            let out = node
-                .ep
-                .get(
-                    self.rx_buf + off,
-                    self.msg_len,
-                    self.peer,
-                    self.tx_buf + off,
-                    SrcHint::Gpu,
-                )
-                .unwrap();
-            let msg = out.desc.msg;
-            let mut sh = self.shared.borrow_mut();
-            sh.watchdog.arm(msg, api.now);
-            sh.descs.insert(msg, ChaosDesc::Get(out.desc.clone()));
-            // The last post of the burst is force-signaled so the tail
-            // of unsignaled WQEs always retires.
-            sh.sendqs[self.rank as usize].post(msg, i + 1 == self.msgs);
-            drop(sh);
-            api.submit_get(out.host_cost, out.desc);
-        }
-        if self.reissue {
-            api.wake(self.poll, 0);
-        }
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        match ev {
-            HostIn::Delivered { msg, .. } => {
-                let mut sh = self.shared.borrow_mut();
-                sh.delivered.insert(msg);
-                sh.watchdog.disarm(&msg);
-                sh.sendqs[self.rank as usize].complete(&msg);
-                Self::reap_if_due(&mut sh, self.rank as usize);
-            }
-            HostIn::Wake(_) if self.reissue => self.pump(node, api),
             _ => {}
         }
     }
@@ -1469,24 +1417,7 @@ impl HostProgram for GetChaosRank {
 /// deliveries, duplicate completions, byte-exactness of every destination
 /// region, card quiescence and the fault/recovery counter totals.
 pub fn chaos_run(dims: TorusDims, node_cfg: NodeConfig, p: ChaosParams) -> ChaosReport {
-    chaos_run_impl(dims, node_cfg, p, None, None, None, None).0
-}
-
-/// [`chaos_run`] with the streaming SLO engine attached: alongside the
-/// (unchanged) chaos report, returns the [`RunReport`] — tumbling
-/// windows over the per-message latency stream, exact error-budget
-/// accounting against the declared objective, and the deterministic
-/// alert timeline. Like the tail plane, the engine forces a trace
-/// capture when `APENET_TRACE` is off and publishes only into its own
-/// registry, so the chaos report is identical to [`chaos_run`]'s.
-pub fn chaos_run_slo(
-    dims: TorusDims,
-    node_cfg: NodeConfig,
-    p: ChaosParams,
-    cfg: SloConfig,
-) -> (ChaosReport, RunReport) {
-    let (report, _, slo) = chaos_run_impl(dims, node_cfg, p, None, None, None, Some(cfg));
-    (report, slo.expect("slo plane requested"))
+    chaos_run_impl(dims, node_cfg, p, None, None, None).0
 }
 
 /// [`chaos_run`] with the tail-forensics plane attached: alongside the
@@ -1502,7 +1433,7 @@ pub fn chaos_run_tail(
     p: ChaosParams,
     cfg: TailConfig,
 ) -> (ChaosReport, TailReport) {
-    let (report, tail, _) = chaos_run_impl(dims, node_cfg, p, None, None, Some(cfg), None);
+    let (report, tail, _) = chaos_run_impl(dims, node_cfg, p, None, None, Some(cfg));
     (report, tail.expect("tail plane requested"))
 }
 
@@ -1518,7 +1449,7 @@ pub fn get_chaos_run(
     p: ChaosParams,
     sig: SignalConfig,
 ) -> ChaosReport {
-    chaos_run_impl(dims, node_cfg, p, None, Some(sig), None, None).0
+    chaos_run_impl(dims, node_cfg, p, None, Some(sig), None).0
 }
 
 /// [`chaos_run`] with an explicit [`OccupancySampler`] ticking through
@@ -1532,7 +1463,52 @@ pub fn chaos_run_sampled(
     p: ChaosParams,
     sampler: &mut OccupancySampler,
 ) -> ChaosReport {
-    chaos_run_impl(dims, node_cfg, p, Some(sampler), None, None, None).0
+    chaos_run_impl(dims, node_cfg, p, Some(sampler), None, None).0
+}
+
+/// Build and run the chaos ring of `p` over `dims`: PUTs, or with `sig`
+/// moderated GETs.
+fn chaos_cluster(
+    dims: TorusDims,
+    node_cfg: NodeConfig,
+    p: &ChaosParams,
+    sig: Option<SignalConfig>,
+    trace: Option<SharedSink>,
+    sampler: Option<&mut OccupancySampler>,
+) -> (Cluster, Rig, SimTime) {
+    let n = dims.nodes();
+    assert!(n >= 2, "the ring workload needs at least two nodes");
+    let rig = Rig::new(n, &node_cfg);
+    let verb = match sig {
+        Some(sig) => {
+            rig.shared.borrow_mut().sendqs = (0..n)
+                .map(|_| {
+                    let mut sq = SendQueue::new(sig.clone());
+                    sq.attach_metrics(&rig.reg);
+                    sq
+                })
+                .collect();
+            IncastVerb::Get
+        }
+        None => IncastVerb::Put,
+    };
+    let programs: Vec<Box<dyn HostProgram>> = (0..n)
+        .map(|r| {
+            Box::new(ChaosRank {
+                rank: r as u32,
+                msgs: p.msgs_per_rank,
+                msg_len: p.msg_len,
+                verb,
+                reissue: p.watchdog_reissue,
+                poll: rig.poll,
+                peer: dims.coord_of((r + 1) % n),
+                shared: rig.shared.clone(),
+            }) as Box<dyn HostProgram>
+        })
+        .collect();
+    let mut cluster = build(dims, node_cfg, trace, programs);
+    let end = run(&mut cluster, sampler);
+    (cluster, rig, end)
 }
 
 fn chaos_run_impl(
@@ -1540,100 +1516,16 @@ fn chaos_run_impl(
     node_cfg: NodeConfig,
     p: ChaosParams,
     sampler: Option<&mut OccupancySampler>,
-    get_verb: Option<SignalConfig>,
+    sig: Option<SignalConfig>,
     tail: Option<TailConfig>,
-    slo: Option<SloConfig>,
 ) -> (ChaosReport, Option<TailReport>, Option<RunReport>) {
-    let n = dims.nodes();
-    assert!(n >= 2, "the ring workload needs at least two nodes");
-    // Every counter the report quotes flows through this per-run
-    // registry: the watchdog mirrors its alarms in, each card publishes
-    // its link-reliability totals after the run, and the send queues
-    // mirror their signaling activity. The signaling ids are pre-created
-    // at zero so PUT runs publish the full id set too.
-    let reg = Registry::new();
-    signal::register_metrics(&reg);
-    pacing::register_metrics(&reg);
-    let wd_cfg = node_cfg.driver.watchdog.clone();
-    let poll = SimDuration::from_ps((wd_cfg.timeout.as_ps() / 4).max(1));
-    let mut watchdog = apenet_rdma::driver::Watchdog::new(wd_cfg);
-    watchdog.attach_metrics(&reg);
-    let is_get = get_verb.is_some();
-    let sendqs: Vec<SendQueue> = match &get_verb {
-        Some(sig) => (0..n)
-            .map(|_| {
-                let mut sq = SendQueue::new(sig.clone());
-                sq.attach_metrics(&reg);
-                sq
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    let shared = Rc::new(RefCell::new(ChaosShared {
-        watchdog,
-        delivered: Default::default(),
-        descs: Default::default(),
-        reissue: (0..n).map(|_| Default::default()).collect(),
-        failed: (0..n).map(|_| Default::default()).collect(),
-        sendqs,
-    }));
-    let programs: Vec<Box<dyn HostProgram>> = (0..n)
-        .map(|r| {
-            if is_get {
-                Box::new(GetChaosRank {
-                    rank: r as u32,
-                    msgs: p.msgs_per_rank,
-                    msg_len: p.msg_len,
-                    reissue: p.watchdog_reissue,
-                    poll,
-                    peer: dims.coord_of((r + 1) % n),
-                    tx_buf: 0,
-                    rx_buf: 0,
-                    shared: shared.clone(),
-                }) as Box<dyn HostProgram>
-            } else {
-                Box::new(ChaosRank {
-                    rank: r as u32,
-                    msgs: p.msgs_per_rank,
-                    msg_len: p.msg_len,
-                    reissue: p.watchdog_reissue,
-                    poll,
-                    peer: dims.coord_of((r + 1) % n),
-                    tx_buf: 0,
-                    rx_buf: 0,
-                    shared: shared.clone(),
-                }) as Box<dyn HostProgram>
-            }
-        })
-        .collect();
-    // The tail and SLO planes (explicit from `chaos_run_tail`/
-    // `chaos_run_slo`, or requested via `APENET_TAIL`/`APENET_SLO` on
-    // any chaos entry point) fold a span trace after the run: honor
-    // whatever sink `APENET_TRACE` asks for, forcing an unbounded
-    // capture only when tracing is otherwise off. Tracing is pure
-    // observation, so the schedule — and the chaos report — are
-    // unchanged either way.
-    let tail = tail.or_else(tail_from_env);
-    let slo = slo.or_else(slo_from_env);
-    let mut builder = ClusterBuilder::new(dims, node_cfg);
-    if tail.is_some() || slo.is_some() {
-        let sink = trace_sink_from_env();
-        builder = builder.with_trace(if sink.enabled() {
-            sink
-        } else {
-            SharedSink::capturing()
-        });
-    }
-    let mut cluster = builder.build(programs);
-    let end = match sampler {
-        Some(s) => cluster.run_sampled(s),
-        None => cluster.run_auto(),
-    };
+    let (tail, slo, trace) = resolve_planes(tail, None, true);
+    let (cluster, rig, end) = chaos_cluster(dims, node_cfg, &p, sig, trace, sampler);
 
     // Drain the send queues' final CQEs and collect retirement totals
     // before taking the long immutable borrow below.
     let (sq_posted, sq_retired) = {
-        let mut sh = shared.borrow_mut();
+        let mut sh = rig.shared.borrow_mut();
         let mut posted = 0;
         let mut retired = 0;
         for sq in sh.sendqs.iter_mut() {
@@ -1643,89 +1535,23 @@ fn chaos_run_impl(
         }
         (posted, retired)
     };
-
-    // Verify every destination region byte-exactly: rank d's RX buffer
-    // must hold its predecessor's TX stream (PUT: the predecessor wrote
-    // it here; GET: rank d read its successor's stream into it).
-    let region = p.msgs_per_rank as u64 * p.msg_len;
-    let mut payload_ok = true;
-    let sh = shared.borrow();
-    if region > 0 {
-        for d in 0..n {
-            // PUT: rank d receives from its ring predecessor. GET: rank
-            // d pulled from its ring successor.
-            let src = if is_get {
-                (d + 1) % n
-            } else {
-                ((d + n) - 1) % n
-            };
-            let host = cluster.host(d);
-            let rx_buf = {
-                // Same deterministic allocation order as the rank
-                // programs' start(): the RX region is the first GPU
-                // allocation.
-                let gpu_base = host.node.cuda[0].borrow().mem.base();
-                gpu_base
-            };
-            // Only fully-delivered slots are checked: with recovery
-            // disabled, lost messages leave their slots unwritten.
-            for i in 0..p.msgs_per_rank {
-                let slot = rx_buf + i as u64 * p.msg_len;
-                let msg_delivered = sh.descs.iter().any(|(m, desc)| match desc {
-                    ChaosDesc::Put(t) => {
-                        m.src_rank == src as u32 && t.dst_vaddr == slot && sh.delivered.contains(m)
-                    }
-                    ChaosDesc::Get(g) => {
-                        m.src_rank == d as u32 && g.local_vaddr == slot && sh.delivered.contains(m)
-                    }
-                });
-                if !msg_delivered {
-                    continue;
-                }
-                let off = i as u64 * p.msg_len;
-                let got = host.node.cuda[0]
-                    .borrow_mut()
-                    .mem
-                    .read_vec(rx_buf + off, p.msg_len)
-                    .unwrap();
-                let ok = got
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &b)| b == chaos_byte(src as u32, off + j as u64));
-                payload_ok &= ok;
-            }
-        }
-    }
-
-    let mut duplicates = 0;
-    let mut quiesced = true;
-    let mut last_delivery = SimTime::ZERO;
-    let mut error_completions = 0;
-    for r in 0..n {
-        let cq = &cluster.host(r).node.cq;
-        duplicates += cq.duplicate_count();
-        error_completions += cq.error_count() as u64;
-        if let Some(t) = cq.last_delivery() {
-            last_delivery = last_delivery.max(t);
-        }
-        let card = cluster.card(r).card();
-        quiesced &= card.quiesced();
-        card.publish_link_metrics(&reg);
-    }
-    let metrics = reg.counters();
+    let sh = rig.shared.borrow();
+    let payload_ok = payload_ok(&cluster, &sh);
+    let t = rig.totals(&cluster);
+    let metrics = rig.reg.counters();
     use apenet_core::card::metrics as lm;
     use apenet_rdma::driver::metrics as wm;
     use apenet_rdma::signal::metrics as sm;
     let report = ChaosReport {
-        expected: n as u64 * p.msgs_per_rank as u64,
+        expected: dims.nodes() as u64 * p.msgs_per_rank as u64,
         delivered: sh.delivered.len() as u64,
-        duplicates,
+        duplicates: t.duplicates,
         payload_ok,
-        quiesced,
+        quiesced: t.quiesced,
         watchdog_fired: metrics.get(wm::FIRED),
         watchdog_reissues: metrics.get(wm::REISSUES),
         watchdog_failed: metrics.get(wm::UNREACHABLE),
-        error_completions,
+        error_completions: t.error_completions,
         dead_links: metrics.get(lm::LINK_DEAD),
         detours: metrics.get(lm::ROUTE_DETOUR),
         unreachable_drops: metrics.get(lm::ROUTE_UNREACHABLE),
@@ -1742,7 +1568,7 @@ fn chaos_run_impl(
             metrics.get(lm::INJECTED_STALLS),
         ),
         stall_ps: metrics.get(lm::STALL_PS),
-        last_delivery,
+        last_delivery: t.last_delivery,
         end,
         cq_signaled: metrics.get(sm::CQ_SIGNALED),
         doorbell_batched: metrics.get(sm::DOORBELL_BATCHED),
@@ -1905,7 +1731,7 @@ struct IncastSender {
     /// Consecutive throttled attempts on the pending message.
     attempts: u32,
     /// Messages submitted and not yet settled on this rank.
-    inflight: Vec<apenet_core::packet::MsgId>,
+    inflight: Vec<MsgId>,
     rx_buf: u64,
     tx_buf: u64,
     shared: Rc<RefCell<ChaosShared>>,
@@ -1953,30 +1779,9 @@ impl IncastSender {
         if let Some(p) = self.pacer.as_mut() {
             let _ = p.poll_deadlines(now);
         }
-        // Cluster-wide watchdog duty: route expired messages home, then
-        // drain this rank's own re-issue and escalation queues.
-        {
-            let mut sh = self.shared.borrow_mut();
-            let ex = sh.watchdog.poll_expired(now);
-            for msg in ex.reissue {
-                let desc = sh.descs[&msg].clone();
-                sh.reissue[msg.src_rank as usize].push_back(desc);
-            }
-            for msg in ex.failed {
-                sh.failed[msg.src_rank as usize].push_back(msg);
-            }
-            while let Some(desc) = sh.reissue[self.rank as usize].pop_front() {
-                match desc {
-                    ChaosDesc::Put(d) => api.submit(SimDuration::ZERO, d),
-                    ChaosDesc::Get(d) => api.submit_get(SimDuration::ZERO, d),
-                }
-            }
-            let failed: Vec<_> = std::mem::take(&mut sh.failed[self.rank as usize]).into();
-            drop(sh);
-            for msg in failed {
-                node.cq.push_error(msg, now, CompletionError::Unreachable);
-            }
-        }
+        self.shared
+            .borrow_mut()
+            .service(self.rank as usize, node, api);
         self.settle(node, now);
         // Open-loop schedule, gated by the plane when armed.
         let mut backoff: Option<SimDuration> = None;
@@ -1997,28 +1802,21 @@ impl IncastSender {
             }
             let i = self.next;
             let off = i as u64 * self.msg_len;
-            let res = match self.verb {
-                IncastVerb::Put => node
-                    .ep
-                    .put(
-                        self.tx_buf + off,
-                        self.msg_len,
-                        self.target,
-                        self.rx_buf + self.put_slot(i),
-                        SrcHint::Gpu,
-                    )
-                    .map(|out| (out.desc.msg, ChaosDesc::Put(out.desc), out.host_cost)),
-                IncastVerb::Get => node
-                    .ep
-                    .get(
-                        self.rx_buf + off,
-                        self.msg_len,
-                        self.target,
-                        self.tx_buf + off,
-                        SrcHint::Gpu,
-                    )
-                    .map(|out| (out.desc.msg, ChaosDesc::Get(out.desc), out.host_cost)),
-            };
+            // A GET reply lands at the stream offset in this rank's RX
+            // region.
+            let to = self.rx_buf
+                + match self.verb {
+                    IncastVerb::Put => self.put_slot(i),
+                    IncastVerb::Get => off,
+                };
+            let res = ChaosDesc::post(
+                &mut node.ep,
+                self.verb,
+                self.tx_buf + off,
+                to,
+                self.msg_len,
+                self.target,
+            );
             match res {
                 Err(RdmaError::Throttled) => {
                     // The endpoint's own admission budget said no: same
@@ -2033,21 +1831,16 @@ impl IncastSender {
                     break;
                 }
                 Err(e) => panic!("incast submit failed: {e}"),
-                Ok((msg, desc, host_cost)) => {
+                Ok((desc, host_cost)) => {
+                    let msg = desc.msg();
                     self.attempts = 0;
                     self.next += 1;
                     self.inflight.push(msg);
                     if let Some(p) = self.pacer.as_mut() {
                         p.on_submit(msg, 0, now);
                     }
-                    let mut sh = self.shared.borrow_mut();
-                    sh.watchdog.arm(msg, now);
-                    sh.descs.insert(msg, desc.clone());
-                    drop(sh);
-                    match desc {
-                        ChaosDesc::Put(d) => api.submit(host_cost, d),
-                        ChaosDesc::Get(d) => api.submit_get(host_cost, d),
-                    }
+                    self.shared.borrow_mut().track(&desc, now);
+                    desc.submit(api, host_cost);
                 }
             }
         }
@@ -2055,12 +1848,7 @@ impl IncastSender {
         // owns the overdue schedule — re-polling sooner would just spin
         // on the closed gate), the next scheduled submit, or the
         // completion/watchdog poll.
-        let sh = self.shared.borrow();
-        let outstanding = !self.inflight.is_empty()
-            || sh.watchdog.outstanding() > 0
-            || sh.reissue.iter().any(|q| !q.is_empty())
-            || sh.failed.iter().any(|q| !q.is_empty());
-        drop(sh);
+        let outstanding = !self.inflight.is_empty() || self.shared.borrow().armed();
         let mut delay: Option<SimDuration> = backoff;
         if backoff.is_none() && self.next < self.msgs {
             let sched = self.due_at(self.next);
@@ -2094,12 +1882,9 @@ impl HostProgram for IncastSender {
             IncastVerb::Put => {
                 // This rank's stream lives in buffer B; fill and map it.
                 node.ep.register(self.tx_buf, region_b).unwrap();
-                let data: Vec<u8> = (0..region_b).map(|o| chaos_byte(self.rank, o)).collect();
-                node.cuda[0]
+                self.shared
                     .borrow_mut()
-                    .mem
-                    .write(self.tx_buf, &data)
-                    .unwrap();
+                    .write_stream(node, self.rank, self.tx_buf, region_b);
             }
             IncastVerb::Get => {
                 // Replies land in this rank's buffer A prefix.
@@ -2116,10 +1901,7 @@ impl HostProgram for IncastSender {
         match ev {
             HostIn::Delivered { msg, .. } => {
                 // GET completions land on the requester: settle in place.
-                let mut sh = self.shared.borrow_mut();
-                sh.delivered.insert(msg);
-                sh.watchdog.disarm(&msg);
-                drop(sh);
+                self.shared.borrow_mut().deliver(self.rank as usize, msg);
                 self.inflight.retain(|m| *m != msg);
                 if let Some(p) = self.pacer.as_mut() {
                     p.on_complete(msg, api.now);
@@ -2160,17 +1942,14 @@ impl HostProgram for IncastTarget {
             }
             IncastVerb::Get => {
                 node.ep.register(tx, region_b).unwrap();
-                let data: Vec<u8> = (0..region_b).map(|o| chaos_byte(0, o)).collect();
-                node.cuda[0].borrow_mut().mem.write(tx, &data).unwrap();
+                self.shared.borrow_mut().write_stream(node, 0, tx, region_b);
             }
         }
     }
 
     fn on_event(&mut self, ev: HostIn, _node: &mut NodeCtx, _api: &mut HostApi<'_, '_>) {
         if let HostIn::Delivered { msg, .. } = ev {
-            let mut sh = self.shared.borrow_mut();
-            sh.delivered.insert(msg);
-            sh.watchdog.disarm(&msg);
+            self.shared.borrow_mut().deliver(0, msg);
         }
     }
 }
@@ -2190,22 +1969,11 @@ pub fn incast_run(dims: TorusDims, node_cfg: NodeConfig, p: IncastParams) -> Inc
 /// (unchanged) incast report, returns the [`RunReport`] evaluating the
 /// declared objective over the storm — the plane that proves the
 /// burn-rate pager fires during an unprotected collapse and stays
-/// silent when the overload plane survives it. The run's `cwnd.r*`
-/// time series are mirrored into the report's registry so viewers see
-/// congestion-window collapse next to the window p99 track.
-pub fn incast_run_slo(
-    dims: TorusDims,
-    node_cfg: NodeConfig,
-    p: IncastParams,
-    cfg: SloConfig,
-) -> (IncastReport, RunReport) {
-    let (report, slo) = incast_run_impl(dims, node_cfg, p, Some(cfg));
-    let (slo, _) = slo.expect("slo plane requested");
-    (report, slo)
-}
-
-/// [`incast_run_slo`] also handing back the raw span capture, for the
-/// trace-export path that renders storm spans plus counter tracks.
+/// silent when the overload plane survives it — and the raw span
+/// capture, for the trace-export path that renders storm spans plus
+/// counter tracks. The run's `cwnd.r*` time series are mirrored into
+/// the report's registry so viewers see congestion-window collapse next
+/// to the window p99 track.
 pub fn incast_run_slo_traced(
     dims: TorusDims,
     node_cfg: NodeConfig,
@@ -2217,32 +1985,19 @@ pub fn incast_run_slo_traced(
     (report, slo, records)
 }
 
-fn incast_run_impl(
+/// Build and run the incast storm of `p` over `dims`.
+fn incast_cluster(
     dims: TorusDims,
     node_cfg: NodeConfig,
-    p: IncastParams,
-    slo: Option<SloConfig>,
-) -> (IncastReport, Option<(RunReport, Vec<TraceRecord>)>) {
+    p: &IncastParams,
+    trace: Option<SharedSink>,
+) -> (Cluster, Rig, SimTime) {
     let n = dims.nodes();
     assert!(
         (p.senders as usize) < n,
         "rank 0 is the target; senders must fit in the remaining ranks"
     );
-    let reg = Registry::new();
-    signal::register_metrics(&reg);
-    pacing::register_metrics(&reg);
-    let wd_cfg = node_cfg.driver.watchdog.clone();
-    let poll = SimDuration::from_ps((wd_cfg.timeout.as_ps() / 4).max(1));
-    let mut watchdog = apenet_rdma::driver::Watchdog::new(wd_cfg);
-    watchdog.attach_metrics(&reg);
-    let shared = Rc::new(RefCell::new(ChaosShared {
-        watchdog,
-        delivered: Default::default(),
-        descs: Default::default(),
-        reissue: (0..n).map(|_| Default::default()).collect(),
-        failed: (0..n).map(|_| Default::default()).collect(),
-        sendqs: Vec::new(),
-    }));
+    let rig = Rig::new(n, &node_cfg);
     // One message serializes on the wire in `msg_len · 8 / link_gbps`
     // ns; the aggregate offered rate is `offered`× that line rate,
     // split evenly, so each sender submits every
@@ -2258,13 +2013,13 @@ fn incast_run_impl(
                     msgs: p.msgs_per_sender,
                     msg_len: p.msg_len,
                     verb: p.verb,
-                    shared: shared.clone(),
+                    shared: rig.shared.clone(),
                 }) as Box<dyn HostProgram>
             } else if r <= p.senders as usize {
                 let pacer = p.pacer.clone().map(|cfg| {
                     let mut pc = Pacer::new(cfg);
-                    pc.attach_metrics(&reg);
-                    pc.attach_series(&reg, r as u32);
+                    pc.attach_metrics(&rig.reg);
+                    pc.attach_series(&rig.reg, r as u32);
                     pc
                 });
                 Box::new(IncastSender {
@@ -2273,7 +2028,7 @@ fn incast_run_impl(
                     msgs: p.msgs_per_sender,
                     msg_len: p.msg_len,
                     interval,
-                    poll,
+                    poll: rig.poll,
                     target: dims.coord_of(0),
                     verb: p.verb,
                     pacer,
@@ -2282,105 +2037,37 @@ fn incast_run_impl(
                     inflight: Vec::new(),
                     rx_buf: 0,
                     tx_buf: 0,
-                    shared: shared.clone(),
+                    shared: rig.shared.clone(),
                 }) as Box<dyn HostProgram>
             } else {
                 Box::new(IdleProgram) as Box<dyn HostProgram>
             }
         })
         .collect();
-    // The SLO plane (explicit from `incast_run_slo`, or requested via
-    // `APENET_SLO` on any incast entry point) needs a span capture to
-    // fold; same zero-perturbation discipline as the chaos harness.
-    let slo = slo.or_else(slo_from_env);
-    let mut builder = ClusterBuilder::new(dims, node_cfg.clone());
-    if slo.is_some() {
-        let sink = trace_sink_from_env();
-        builder = builder.with_trace(if sink.enabled() {
-            sink
-        } else {
-            SharedSink::capturing()
-        });
-    }
-    let mut cluster = builder.build(programs);
-    let end = cluster.run_auto();
+    let mut cluster = build(dims, node_cfg, trace, programs);
+    let end = run(&mut cluster, None);
+    (cluster, rig, end)
+}
 
-    // Byte-exact verification of every delivered slot.
-    let sh = shared.borrow();
-    let mut payload_ok = true;
-    match p.verb {
-        IncastVerb::Put => {
-            // Rank 0's buffer A holds sender blocks; slot (s, i) must
-            // carry sender s's stream at offset i·msg_len.
-            let rx = cluster.host(0).node.cuda[0].borrow().mem.base();
-            for (m, desc) in sh.descs.iter() {
-                if !sh.delivered.contains(m) {
-                    continue;
-                }
-                let ChaosDesc::Put(d) = desc else { continue };
-                let got = cluster.host(0).node.cuda[0]
-                    .borrow_mut()
-                    .mem
-                    .read_vec(d.dst_vaddr, d.len)
-                    .unwrap();
-                let src_off = d.dst_vaddr - rx;
-                let i = (src_off / p.msg_len) % p.msgs_per_sender as u64;
-                let tx_off = i * p.msg_len;
-                payload_ok &= got
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &b)| b == chaos_byte(m.src_rank, tx_off + j as u64));
-            }
-        }
-        IncastVerb::Get => {
-            // Each requester's buffer A prefix must mirror rank 0's
-            // hotspot stream: the slot offset within the requester's
-            // landing region equals the stream offset within rank 0's
-            // TX region (both are i·msg_len).
-            for (m, desc) in sh.descs.iter() {
-                if !sh.delivered.contains(m) {
-                    continue;
-                }
-                let ChaosDesc::Get(g) = desc else { continue };
-                let host = cluster.host(m.src_rank as usize);
-                let base = host.node.cuda[0].borrow().mem.base();
-                let off = g.local_vaddr - base;
-                let got = host.node.cuda[0]
-                    .borrow_mut()
-                    .mem
-                    .read_vec(g.local_vaddr, g.len)
-                    .unwrap();
-                payload_ok &= got
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &b)| b == chaos_byte(0, off + j as u64));
-            }
-        }
-    }
-
-    let mut duplicates = 0;
-    let mut quiesced = true;
-    let mut last_delivery = SimTime::ZERO;
-    let mut error_completions = 0;
-    for r in 0..n {
-        let cq = &cluster.host(r).node.cq;
-        duplicates += cq.duplicate_count();
-        error_completions += cq.error_count() as u64;
-        if let Some(t) = cq.last_delivery() {
-            last_delivery = last_delivery.max(t);
-        }
-        let card = cluster.card(r).card();
-        quiesced &= card.quiesced();
-        card.publish_link_metrics(&reg);
-    }
+fn incast_run_impl(
+    dims: TorusDims,
+    node_cfg: NodeConfig,
+    p: IncastParams,
+    slo: Option<SloConfig>,
+) -> (IncastReport, Option<(RunReport, Vec<TraceRecord>)>) {
+    let (_, slo, trace) = resolve_planes(None, slo, false);
+    let (cluster, rig, end) = incast_cluster(dims, node_cfg, &p, trace);
+    let sh = rig.shared.borrow();
+    let payload_ok = payload_ok(&cluster, &sh);
+    let t = rig.totals(&cluster);
     let delivered = sh.delivered.len() as u64;
-    let span_ps = last_delivery.since(SimTime::ZERO).as_ps();
+    let span_ps = t.last_delivery.since(SimTime::ZERO).as_ps();
     let goodput_mb_s = if span_ps == 0 {
         0.0
     } else {
         (delivered * p.msg_len) as f64 * 1e6 / span_ps as f64
     };
-    let metrics = reg.counters();
+    let metrics = rig.reg.counters();
     use apenet_core::card::metrics as lm;
     use apenet_rdma::driver::metrics as wm;
     use apenet_rdma::pacing::metrics as pm;
@@ -2389,11 +2076,11 @@ fn incast_run_impl(
         offered: p.offered,
         expected: p.senders as u64 * p.msgs_per_sender as u64,
         delivered,
-        duplicates,
+        duplicates: t.duplicates,
         payload_ok,
-        quiesced,
+        quiesced: t.quiesced,
         goodput_mb_s,
-        last_delivery,
+        last_delivery: t.last_delivery,
         end,
         ecn_marked: metrics.get(lm::ECN_MARKED),
         ecn_echoed: metrics.get(lm::ECN_ECHOED),
@@ -2404,7 +2091,7 @@ fn incast_run_impl(
         watchdog_fired: metrics.get(wm::FIRED),
         watchdog_reissues: metrics.get(wm::REISSUES),
         watchdog_failed: metrics.get(wm::UNREACHABLE),
-        error_completions,
+        error_completions: t.error_completions,
         metrics,
     };
     let slo_report = slo.map(|cfg| {
@@ -2413,10 +2100,10 @@ fn incast_run_impl(
         let slo = build_slo_report(&records, &errors, cfg);
         // Mirror the run's pacer series into the plane's registry so
         // `cwnd.r*` collapse renders next to the `window.p99` track.
-        for id in reg.series_ids() {
+        for id in rig.reg.series_ids() {
             if id.starts_with("cwnd.") {
                 let dst = slo.registry.series(&id);
-                for (ps, v) in reg.series(&id).points() {
+                for (ps, v) in rig.reg.series(&id).points() {
                     dst.push(SimTime::from_ps(ps), v);
                 }
             }
@@ -2532,10 +2219,7 @@ impl HostProgram for GetStreamRequester {
 
     fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
         if let HostIn::Delivered { msg, len, .. } = ev {
-            self.sendq.complete(&msg);
-            if self.sendq.cq_occupancy() * 2 >= self.sendq.cq_depth().max(1) {
-                let _ = self.sendq.reap();
-            }
+            retire_wqe(&mut self.sendq, &msg);
             self.records.borrow_mut().completions.push((api.now, len));
             if self.issued < self.count {
                 self.issue_one(node, api);
@@ -2588,4 +2272,58 @@ pub fn get_stream_bandwidth(node_cfg: NodeConfig, p: GetStreamParams) -> BwResul
     cluster.run_auto();
     let r = records.borrow();
     measure(&r, p.size)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets::{cluster_i_default, cluster_i_incast};
+
+    /// The verifier passes a clean run, flags one flipped byte in a
+    /// delivered message's landing range, and skips that range once its
+    /// message counts as undelivered.
+    fn assert_verifier_catches_a_flip(cluster: &Cluster, rig: &Rig) {
+        let mut sh = rig.shared.borrow_mut();
+        assert_eq!(sh.delivered.len(), sh.descs.len(), "clean run delivers all");
+        assert!(payload_ok(cluster, &sh), "a clean run verifies");
+        let msg = *sh.delivered.iter().next().expect("a delivered message");
+        let l = sh.descs[&msg].landing(cluster.dims);
+        let at = l.addr + l.len / 2;
+        let mut gpu = cluster.host(l.rank).node.cuda[0].borrow_mut();
+        let byte = gpu.mem.read_vec(at, 1).unwrap()[0];
+        gpu.mem.write(at, &[byte ^ 1]).unwrap();
+        drop(gpu);
+        assert!(
+            !payload_ok(cluster, &sh),
+            "a flipped landing byte is flagged"
+        );
+        sh.delivered.remove(&msg);
+        assert!(payload_ok(cluster, &sh), "an undelivered slot is skipped");
+    }
+
+    #[test]
+    fn verifier_flags_a_flipped_landing_byte() {
+        let ring = ChaosParams {
+            msgs_per_rank: 4,
+            msg_len: 4096,
+            watchdog_reissue: false,
+        };
+        for sig in [None, Some(SignalConfig::default())] {
+            let dims = TorusDims::new(2, 1, 1);
+            let (cluster, rig, _) =
+                chaos_cluster(dims, cluster_i_default(), &ring, sig, None, None);
+            assert_verifier_catches_a_flip(&cluster, &rig);
+        }
+        let storm = IncastParams {
+            senders: 2,
+            msgs_per_sender: 4,
+            msg_len: 4096,
+            offered: 1,
+            verb: IncastVerb::Put,
+            pacer: None,
+        };
+        let dims = TorusDims::new(3, 1, 1);
+        let (cluster, rig, _) = incast_cluster(dims, cluster_i_incast(false), &storm, None);
+        assert_verifier_catches_a_flip(&cluster, &rig);
+    }
 }

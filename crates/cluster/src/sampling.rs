@@ -10,7 +10,8 @@
 //! the sampled run is *bit-identical* to an unsampled one. The golden
 //! two-pass test holds this to the digest level.
 //!
-//! What gets recorded, per node rank `r`, into [`TimeSeries`] metrics:
+//! What gets recorded, per node rank `r`, into
+//! [`TimeSeries`](apenet_obs::TimeSeries) metrics:
 //!
 //! * `card{r}.*` — TX FIFO bytes/packets, header-FIFO elasticity
 //!   (`push_wait`), staged and outstanding byte credits, open TX jobs,

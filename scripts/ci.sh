@@ -42,6 +42,18 @@ done
 echo "==> trace-export smoke (Perfetto exporter self-validates nesting + JSON)"
 cargo run --release --offline -q -p apenet-bench --bin trace-export
 
+echo "==> harness artifacts (figures, tables and traces match committed)"
+# Every other results/ file the cluster harness produces, plus the two
+# traces written above; the remaining artifacts are diffed below.
+harness_bins=(fig03 table1 fig04 fig05 fig06 fig07 fig08 fig09 fig10
+    bar1-ablation bidir chaos-sweep degraded-route latency-breakdown)
+harness_outputs=(results/trace_pingpong.json results/trace_incast.json)
+for bin in "${harness_bins[@]}"; do
+    cargo run --release --offline -q -p apenet-bench --bin "$bin" >/dev/null
+    harness_outputs+=("results/${bin//-/_}.txt")
+done
+git diff --exit-code -- "${harness_outputs[@]}"
+
 echo "==> deterministic telemetry artifacts (sim-profile + congestion-heatmap match committed)"
 cargo run --release --offline -q -p apenet-bench --bin sim-profile
 cargo run --release --offline -q -p apenet-bench --bin congestion-heatmap
