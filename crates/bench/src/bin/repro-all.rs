@@ -29,11 +29,14 @@ fn jobs() -> Vec<(&'static str, fn())> {
         ("bar1_ablation", figs::bar1_ablation::run),
         ("bidir", figs::bidir::run),
         ("chaos_sweep", figs::chaos_sweep::run),
+        ("degraded_route", figs::degraded_route::run),
         ("get_sweep", figs::get_sweep::run),
+        ("incast_goodput", figs::incast_goodput::run),
         ("latency_breakdown", figs::latency_breakdown::run),
         ("sim_profile", figs::sim_profile::run),
         ("congestion_heatmap", figs::congestion_heatmap::run),
         ("tail_attribution", figs::tail_attribution::run),
+        ("slo_timeline", figs::slo_timeline::run),
     ]
 }
 
@@ -58,8 +61,8 @@ fn threads_json(stats: &[(usize, sweep::ThreadStat)]) -> String {
 
 /// Render the link-reliability counters of a registry snapshot as a JSON
 /// object. Every figure of the paper runs on clean links, so only the
-/// chaos sweep contributes: with it excluded (or faults off) every field
-/// is zero and absent ids read as zero.
+/// fault-injecting experiments contribute: with them excluded (or faults
+/// off) every field is zero and absent ids read as zero.
 fn link_json(t: &apenet_obs::CounterSnapshot) -> String {
     use apenet_core::card::metrics as lm;
     let clean = lm::ALL.iter().all(|id| t.get(id) == 0);

@@ -11,8 +11,8 @@
 //!   bandwidth column matching Fig. 4's "v2 window=32KB" curve exactly;
 //! * **two-node G-G path** (Cluster I) — tx-pipeline / link / rx phase
 //!   partition per message size from card span traces
-//!   ([`apenet_obs::breakdown`]); the three phases sum to the total by
-//!   construction.
+//!   ([`MsgLedger::phase_bounds`]); the three phases sum to the total
+//!   by construction.
 
 use crate::{count_for, emit, sizes_4kb_4mb, sweep};
 use apenet_cluster::harness::{
@@ -21,7 +21,7 @@ use apenet_cluster::harness::{
 use apenet_cluster::presets::{cluster_i_default, plx_node};
 use apenet_core::config::GpuTxVersion;
 use apenet_gpu::GpuArch;
-use apenet_obs::breakdown;
+use apenet_obs::latency::{collect_ledgers, MsgLedger};
 use apenet_pcie::analyzer::summarize_p2p_read;
 use apenet_sim::trace::SharedSink;
 use std::fmt::Write;
@@ -89,21 +89,26 @@ pub fn gg_stages(sizes: &[u64]) -> Vec<GgStageRow> {
                 staged: false,
             },
         );
-        let spans: Vec<_> = breakdown::collect(&records)
+        let spans: Vec<_> = collect_ledgers(&records)
             .into_iter()
-            .filter(|sp| sp.delivered.is_some())
+            .filter(|sp| sp.complete)
             .collect();
         assert!(!spans.is_empty(), "no delivered spans at size {size}");
         let n = spans.len() as f64;
-        let sum_us = |f: &dyn Fn(&breakdown::SpanPhases) -> f64| -> f64 {
-            spans.iter().map(f).sum::<f64>() / n
+        let sum_us =
+            |f: &dyn Fn(&MsgLedger) -> f64| -> f64 { spans.iter().map(f).sum::<f64>() / n };
+        let phase_us = |a: usize, b: usize| {
+            sum_us(&|sp| {
+                let p = sp.phase_bounds();
+                p[b].since(p[a]).as_us_f64()
+            })
         };
         GgStageRow {
             size,
-            tx_pipeline_us: sum_us(&|sp| sp.tx_pipeline().as_us_f64()),
-            link_us: sum_us(&|sp| sp.link().as_us_f64()),
-            rx_us: sum_us(&|sp| sp.rx().as_us_f64()),
-            total_us: sum_us(&|sp| sp.total().as_us_f64()),
+            tx_pipeline_us: phase_us(0, 1),
+            link_us: phase_us(1, 2),
+            rx_us: phase_us(2, 3),
+            total_us: phase_us(0, 3),
             frames_per_msg: sum_us(&|sp| sp.frames as f64),
         }
     })

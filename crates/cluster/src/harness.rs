@@ -38,8 +38,10 @@ use apenet_core::config::TxSinkMode;
 use apenet_core::coord::{Coord, TorusDims};
 use apenet_core::packet::MsgId;
 use apenet_obs::alert::RuleSet;
-use apenet_obs::latency::{collect_ledgers, metrics as tail_metrics, TailConfig, TailSummary};
-use apenet_obs::recorder::{FlightRecorder, RetainReason};
+use apenet_obs::latency::{
+    attach_errors, collect_ledgers, metrics as tail_metrics, MsgLedger, TailConfig, TailSummary,
+};
+use apenet_obs::recorder::FlightRecorder;
 use apenet_obs::report::RunReport;
 use apenet_obs::slo::SloConfig;
 use apenet_obs::{CounterSnapshot, Registry};
@@ -979,11 +981,13 @@ impl TailReport {
     }
 }
 
-/// Typed error spans of a finished run: watchdog escalations surface on
-/// completion queues; a completion parked on a full RX event ring that
-/// the host never drained shows as an RX_HELD record with no delivery.
-/// Shared by the tail and SLO planes so both attribute identically.
-fn typed_error_spans(cluster: &Cluster, records: &[TraceRecord]) -> Vec<(SpanId, &'static str)> {
+/// Fold a finished run's span capture once for the tail and SLO
+/// planes: per-message ledgers with typed errors attached. Watchdog
+/// escalations surface on completion queues; a completion parked on a
+/// full RX event ring that the host never drained shows as an RX_HELD
+/// record with no delivery.
+fn fold_capture(cluster: &Cluster) -> (Vec<TraceRecord>, Vec<MsgLedger>) {
+    let records = cluster.trace.take();
     let mut errors: Vec<(SpanId, &'static str)> = Vec::new();
     for r in 0..cluster.dims.nodes() {
         for (m, _, e) in cluster.host(r).node.cq.errors() {
@@ -1008,25 +1012,9 @@ fn typed_error_spans(cluster: &Cluster, records: &[TraceRecord]) -> Vec<(SpanId,
             errors.push((s, "rx-ring-full"));
         }
     }
-    errors.sort_unstable();
-    errors
-}
-
-/// Fold a span capture into the streaming SLO engine: ledgers with
-/// typed errors attached, tumbling windows, budget evaluation, and the
-/// alert timeline — all published into the report's own registry.
-fn build_slo_report(
-    records: &[TraceRecord],
-    errors: &[(SpanId, &'static str)],
-    cfg: SloConfig,
-) -> RunReport {
-    let mut ledgers = collect_ledgers(records);
-    for l in &mut ledgers {
-        if let Some(&(_, e)) = errors.iter().find(|(s, _)| *s == l.span) {
-            l.error = Some(e);
-        }
-    }
-    RunReport::build(&ledgers, cfg, &RuleSet::default())
+    let mut ledgers = collect_ledgers(&records);
+    attach_errors(&mut ledgers, &errors);
+    (records, ledgers)
 }
 
 /// A re-issuable reliability-run descriptor: the verb decides how the
@@ -1577,36 +1565,20 @@ fn chaos_run_impl(
         metrics,
     };
 
-    // Fold the span capture into the tail and SLO planes, after the
-    // report is fully assembled. Both planes consume the same capture
-    // and the same typed-error extraction, so take the records once.
-    let (records, errors) = if tail.is_some() || slo.is_some() {
-        let records = cluster.trace.take();
-        let errors = typed_error_spans(&cluster, &records);
-        (records, errors)
+    // Fold the span capture once, after the report is fully assembled;
+    // the tail and SLO planes read the same ledgers.
+    let (records, ledgers) = if tail.is_some() || slo.is_some() {
+        fold_capture(&cluster)
     } else {
         (Vec::new(), Vec::new())
     };
     // The streaming SLO engine: published into the plane's own
     // registry, never the run's.
-    let slo_report = slo.map(|cfg| build_slo_report(&records, &errors, cfg));
+    let slo_report = slo.map(|cfg| RunReport::build(&ledgers, cfg, &RuleSet::default()));
     let tail_report = tail.map(|cfg| {
-        let summary = TailSummary::build(&records, &errors, cfg);
-        // Retain tail spans plus every error span, error reason winning
-        // when a span is both (the forensically stronger label).
-        let mut keep: std::collections::BTreeMap<SpanId, RetainReason> = summary
-            .tail
-            .iter()
-            .map(|&i| (summary.ledgers[i].span, RetainReason::Tail))
-            .collect();
-        for l in &summary.ledgers {
-            if let Some(e) = l.error {
-                keep.insert(l.span, RetainReason::Error(e));
-            }
-        }
-        let keep: Vec<(SpanId, RetainReason)> = keep.into_iter().collect();
+        let summary = TailSummary::from_ledgers(ledgers, cfg);
         let mut recorder = FlightRecorder::new(cfg.capacity);
-        recorder.ingest(&records, &keep);
+        recorder.ingest(&records, &summary.retain_set());
         let registry = Registry::new();
         summary.publish(&registry);
         registry
@@ -2095,9 +2067,8 @@ fn incast_run_impl(
         metrics,
     };
     let slo_report = slo.map(|cfg| {
-        let records = cluster.trace.take();
-        let errors = typed_error_spans(&cluster, &records);
-        let slo = build_slo_report(&records, &errors, cfg);
+        let (records, ledgers) = fold_capture(&cluster);
+        let slo = RunReport::build(&ledgers, cfg, &RuleSet::default());
         // Mirror the run's pacer series into the plane's registry so
         // `cwnd.r*` collapse renders next to the `window.p99` track.
         for id in rig.reg.series_ids() {

@@ -29,8 +29,14 @@
 //!
 //! Missing observations collapse their stage to zero length, so partial
 //! captures (ring-sink evictions) still telescope.
+//!
+//! This is the only fold from span records to per-message timing:
+//! [`MsgLedger::phase_bounds`] projects the stages onto the coarse
+//! tx-pipeline / link / rx view that the Perfetto exporter and the
+//! latency break-down figure draw.
 
 use crate::digest::PercentileDigest;
+use crate::recorder::RetainReason;
 use crate::registry::Registry;
 use apenet_sim::trace::{kind, SpanId, TracePayload, TraceRecord};
 use apenet_sim::{SimDuration, SimTime};
@@ -153,6 +159,8 @@ pub struct MsgLedger {
     pub retransmits: u64,
     /// Fault-detour routing decisions taken by packets of this span.
     pub detours: u64,
+    /// Payload bytes fetched for the span (summed over fetch records).
+    pub fetch_bytes: u64,
     /// Both a post and a delivery were observed: the totals are real
     /// end-to-end latencies, not a truncated capture.
     pub complete: bool,
@@ -171,6 +179,15 @@ impl MsgLedger {
     /// End-to-end latency: submit → delivered.
     pub fn total(&self) -> SimDuration {
         self.bounds[9].since(self.bounds[0])
+    }
+
+    /// The coarse three-phase view `[post, first frame-tx, last
+    /// frame-rx, delivered]`: tx-pipeline = `tx_fetch` + `tx_stage` +
+    /// `tx_drain`, link = `wire` + `replay`, rx = `rx_write` +
+    /// `rx_notify` + `rx_ring_wait`. Monotone, so the three phases sum
+    /// exactly to post → delivered.
+    pub fn phase_bounds(&self) -> [SimTime; 4] {
+        [1, 4, 6, 9].map(|i| self.bounds[i])
     }
 
     /// The stage decomposition telescopes exactly: summing every
@@ -229,6 +246,7 @@ struct RawSpan {
     frames: u64,
     retransmits: u64,
     detours: u64,
+    fetch_bytes: u64,
 }
 
 fn min_t(slot: &mut Option<SimTime>, at: SimTime) {
@@ -255,7 +273,10 @@ pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
                     sp.len = sp.len.max(len);
                 }
             }
-            kind::FETCH => min_t(&mut sp.first_fetch, r.at),
+            kind::FETCH => {
+                min_t(&mut sp.first_fetch, r.at);
+                sp.fetch_bytes += r.payload.data_len();
+            }
             kind::STAGE => min_t(&mut sp.first_stage, r.at),
             kind::FRAME_TX => {
                 min_t(&mut sp.first_frame_tx, r.at);
@@ -307,11 +328,22 @@ pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
                 frames: sp.frames,
                 retransmits: sp.retransmits,
                 detours: sp.detours,
+                fetch_bytes: sp.fetch_bytes,
                 complete: sp.post.is_some() && sp.delivered.is_some(),
                 error: None,
             }
         })
         .collect()
+}
+
+/// Attach typed errors (e.g. from host completion queues) to the
+/// ledgers of the spans they name.
+pub fn attach_errors(ledgers: &mut [MsgLedger], errors: &[(SpanId, &'static str)]) {
+    for l in ledgers {
+        if let Some(&(_, e)) = errors.iter().find(|(s, _)| *s == l.span) {
+            l.error = Some(e);
+        }
+    }
 }
 
 /// Tail-plane configuration (the `APENET_TAIL` env grammar lives in
@@ -409,21 +441,24 @@ pub struct TailSummary {
 }
 
 impl TailSummary {
-    /// Build the summary: fold records into ledgers, attach typed
-    /// errors by span, pick the tail set, blame dominant stages.
-    /// Asserts every ledger telescopes (debug + release: this is the
-    /// plane's core invariant).
+    /// Build the summary from a capture: fold records into ledgers,
+    /// attach typed errors by span, then [`TailSummary::from_ledgers`].
     pub fn build(
         records: &[TraceRecord],
         errors: &[(SpanId, &'static str)],
         cfg: TailConfig,
     ) -> TailSummary {
         let mut ledgers = collect_ledgers(records);
-        for l in &mut ledgers {
+        attach_errors(&mut ledgers, errors);
+        TailSummary::from_ledgers(ledgers, cfg)
+    }
+
+    /// Build the summary from already-folded ledgers: pick the tail
+    /// set and blame dominant stages. Asserts every ledger telescopes
+    /// (debug + release: this is the plane's core invariant).
+    pub fn from_ledgers(ledgers: Vec<MsgLedger>, cfg: TailConfig) -> TailSummary {
+        for l in &ledgers {
             l.assert_telescopes();
-            if let Some(&(_, e)) = errors.iter().find(|(s, _)| *s == l.span) {
-                l.error = Some(e);
-            }
         }
         let mut totals = PercentileDigest::new();
         for l in ledgers.iter().filter(|l| l.complete) {
@@ -480,17 +515,22 @@ impl TailSummary {
         best.map(|(s, _)| s)
     }
 
-    /// Spans the flight recorder should retain: tail messages plus
-    /// every message that ended in a typed error.
-    pub fn retain_set(&self) -> Vec<SpanId> {
-        let mut keep: Vec<SpanId> = self.tail.iter().map(|&i| self.ledgers[i].span).collect();
+    /// Spans the flight recorder should retain, in span order: tail
+    /// messages plus every message that ended in a typed error. The
+    /// error reason wins when a span is both (the forensically
+    /// stronger label).
+    pub fn retain_set(&self) -> Vec<(SpanId, RetainReason)> {
+        let mut keep: BTreeMap<SpanId, RetainReason> = self
+            .tail
+            .iter()
+            .map(|&i| (self.ledgers[i].span, RetainReason::Tail))
+            .collect();
         for l in &self.ledgers {
-            if l.error.is_some() && !keep.contains(&l.span) {
-                keep.push(l.span);
+            if let Some(e) = l.error {
+                keep.insert(l.span, RetainReason::Error(e));
             }
         }
-        keep.sort_unstable();
-        keep
+        keep.into_iter().collect()
     }
 
     /// Publish counters and per-stage/per-class digests into `reg`
@@ -695,13 +735,55 @@ mod tests {
     }
 
     #[test]
+    fn phase_bounds_partition_post_to_delivery() {
+        let s = SpanId::from_msg(0, 1);
+        let mut records = full_span(s);
+        records.push(rec(35, kind::FRAME_TX, s, frame(true)));
+        records.push(rec(80, kind::TX_DONE, s, P::Msg { len: 4096 }));
+        let l = &collect_ledgers(&records)[0];
+        assert_eq!(l.len, 4096);
+        assert_eq!(l.fetch_bytes, 4096);
+        assert_eq!(l.frames, 2);
+        assert_eq!(l.retransmits, 1);
+        let [t0, t1, t2, t3] = l.phase_bounds();
+        assert_eq!(t1.since(t0), SimDuration::from_ns(20), "post 10 → tx 30");
+        assert_eq!(t2.since(t1), SimDuration::from_ns(20), "tx 30 → rx 50");
+        assert_eq!(
+            t3.since(t2),
+            SimDuration::from_ns(20),
+            "rx 50 → delivered 70"
+        );
+        // Exact partition: the phases sum to post → delivered, i.e. the
+        // end-to-end total less host_post.
+        assert_eq!(
+            t1.since(t0) + t2.since(t1) + t3.since(t2) + l.stage(Stage::HostPost),
+            l.total()
+        );
+    }
+
+    #[test]
     fn partial_spans_collapse_and_still_telescope() {
         let s = SpanId::from_msg(2, 9);
-        let records = vec![rec(100, kind::POST, s, P::Msg { len: 64 })];
-        let l = &collect_ledgers(&records)[0];
+        let spanless = TraceRecord {
+            at: SimTime::from_ps(1),
+            source: "interposer",
+            kind: "MRd",
+            span: None,
+            payload: P::Tlp {
+                len: 0,
+                wire: 24,
+                up: true,
+            },
+        };
+        let records = vec![spanless, rec(100, kind::POST, s, P::Msg { len: 64 })];
+        let ledgers = collect_ledgers(&records);
+        assert_eq!(ledgers.len(), 1, "spanless records are ignored");
+        let l = &ledgers[0];
         assert!(!l.complete);
         l.assert_telescopes();
         assert_eq!(l.total(), SimDuration::ZERO);
+        // No wire or delivery observed: every phase is zero-length.
+        assert_eq!(l.phase_bounds(), [SimTime::from_ps(100_000); 4]);
     }
 
     #[test]
@@ -732,7 +814,10 @@ mod tests {
         assert!(!sum.tail.is_empty());
         assert!(sum.blame.values().sum::<u64>() == sum.tail.len() as u64);
         let retain = sum.retain_set();
-        assert!(retain.contains(&dead), "error spans always retained");
+        assert!(
+            retain.contains(&(dead, RetainReason::Error("unreachable"))),
+            "error spans always retained"
+        );
         // Publishing registers every declared id, even untouched ones.
         let reg = Registry::new();
         sum.publish(&reg);
@@ -745,6 +830,28 @@ mod tests {
         assert!(render.contains("host_post"));
         // Deterministic render.
         assert_eq!(render, sum.render("unit"));
+    }
+
+    #[test]
+    fn retain_set_prefers_the_error_reason() {
+        let tail_only = SpanId::from_msg(0, 1);
+        let both = SpanId::from_msg(0, 2);
+        let mut records = full_span(tail_only);
+        records.extend(full_span(both));
+        let cfg = TailConfig {
+            quantile: 0.5,
+            label: "p50",
+            capacity: 8,
+        };
+        let sum = TailSummary::build(&records, &[(both, "rx-ring-full")], cfg);
+        assert_eq!(sum.tail.len(), 2, "equal totals: both reach the threshold");
+        assert_eq!(
+            sum.retain_set(),
+            vec![
+                (tail_only, RetainReason::Tail),
+                (both, RetainReason::Error("rx-ring-full")),
+            ]
+        );
     }
 
     #[test]

@@ -10,13 +10,11 @@
 //!   gauges, [`apenet_sim::stats::LogHistogram`]-backed latency
 //!   histograms, time-windowed bandwidth series) keyed by stable string
 //!   ids and snapshotted to sorted JSON.
-//! * [`breakdown`] — folds span-correlated [`apenet_sim::trace`]
-//!   records into per-message phase decompositions (post → fetch →
-//!   wire → delivery).
-//! * [`latency`] — the tail-forensics ledger: per-message exact stage
-//!   decompositions (telescoping to end-to-end latency), tail
-//!   selection above a configurable quantile, and dominant-stage
-//!   blame attribution.
+//! * [`latency`] — the one span fold: per-message exact stage
+//!   decompositions of span-correlated [`apenet_sim::trace`] records
+//!   (telescoping to end-to-end latency, with a coarse post → wire →
+//!   delivery phase projection), tail selection above a configurable
+//!   quantile, and dominant-stage blame attribution.
 //! * [`digest`] — deterministic streaming percentile digests with
 //!   exact nearest-rank p50/p90/p99/p999 at the repo's event counts.
 //! * [`recorder`] — the flight recorder: bounded retroactive
@@ -53,7 +51,6 @@
 //! byte-identical (the golden-digest tests enforce this).
 
 pub mod alert;
-pub mod breakdown;
 pub mod digest;
 pub mod error;
 pub mod gate;

@@ -13,7 +13,7 @@
 //! validator ([`validate_nesting`]) that CI's trace-export smoke step
 //! runs against the generated file.
 
-use crate::breakdown::{self, SpanPhases};
+use crate::latency::{collect_ledgers, MsgLedger};
 use apenet_sim::trace::TraceRecord;
 use std::fmt::Write as _;
 
@@ -62,7 +62,7 @@ fn slice(name: String, tid: u64, start: u64, end: u64) -> TraceEvent {
 /// (bare interposer TLPs) are not exported — the analyzer report covers
 /// those; this view is the per-message timeline.
 pub fn export(records: &[TraceRecord]) -> Vec<TraceEvent> {
-    let spans = breakdown::collect(records);
+    let spans = collect_ledgers(records);
     let mut events = Vec::new();
     let mut ranks: Vec<u32> = spans.iter().map(|s| s.span.src_rank()).collect();
     ranks.sort_unstable();
@@ -89,9 +89,10 @@ pub fn export(records: &[TraceRecord]) -> Vec<TraceEvent> {
 /// messages from one rank can overlap in time (a burst), which on a
 /// shared per-rank track would produce straddling phase slices; one
 /// track per message keeps proper nesting by construction. Span order
-/// (and so tid assignment) is the deterministic [`SpanId`] order.
+/// (and so tid assignment) is the deterministic
+/// [`SpanId`](apenet_sim::trace::SpanId) order.
 pub fn export_per_span(records: &[TraceRecord]) -> Vec<TraceEvent> {
-    let spans = breakdown::collect(records);
+    let spans = collect_ledgers(records);
     let mut events = Vec::new();
     for (i, sp) in spans.iter().enumerate() {
         let tid = i as u64 + 1;
@@ -112,11 +113,11 @@ pub fn export_per_span(records: &[TraceRecord]) -> Vec<TraceEvent> {
     events
 }
 
-fn span_events(sp: &SpanPhases, tid: u64) -> Vec<TraceEvent> {
-    let [t0, t1, t2, t3] = sp.boundaries().map(|t| t.as_ps());
+fn span_events(sp: &MsgLedger, tid: u64) -> Vec<TraceEvent> {
+    let [t0, t1, t2, t3] = sp.phase_bounds().map(|t| t.as_ps());
     let mut parent = slice(format!("msg {}", sp.span), tid, t0, t3.max(t0 + 1));
     parent.args = vec![
-        ("len".into(), sp.msg_len.to_string()),
+        ("len".into(), sp.len.to_string()),
         ("frames".into(), sp.frames.to_string()),
         ("retransmits".into(), sp.retransmits.to_string()),
         ("fetch_bytes".into(), sp.fetch_bytes.to_string()),

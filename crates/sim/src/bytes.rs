@@ -11,26 +11,31 @@
 //! * mutation (fault injection, writes to a shared memory page) is
 //!   copy-on-write of only the aliased bytes.
 //!
-//! The module keeps a global [`copied_bytes`] counter so tests can assert
-//! that a clean datapath really performs zero payload copies.
+//! The module keeps a per-thread [`copied_bytes`] counter so tests can
+//! assert that a clean datapath really performs zero payload copies. A
+//! simulation runs on one thread, so the counter sees all of its copies
+//! and none of a concurrently running test's.
 
+use std::cell::Cell;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Bytes copied by copy-on-write and gather fall-backs, process-wide.
-static COPIED_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Bytes copied by copy-on-write and gather fall-backs on this thread.
+    static COPIED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Record `n` payload bytes copied (slow path). Public so memory models
 /// outside this crate can account their own gather copies.
 pub fn note_copy(n: u64) {
-    COPIED_BYTES.fetch_add(n, Ordering::Relaxed);
+    COPIED_BYTES.with(|c| c.set(c.get() + n));
 }
 
-/// Total payload bytes copied on slow paths since process start.
-/// Monotone; compare before/after a region to measure its copy traffic.
+/// Total payload bytes copied on slow paths by the calling thread since
+/// it started. Monotone; compare before/after a region to measure its
+/// copy traffic.
 pub fn copied_bytes() -> u64 {
-    COPIED_BYTES.load(Ordering::Relaxed)
+    COPIED_BYTES.with(Cell::get)
 }
 
 /// An immutable, cheaply clonable view of a byte range inside a shared

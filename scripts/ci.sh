@@ -43,9 +43,11 @@ echo "==> trace-export smoke (Perfetto exporter self-validates nesting + JSON)"
 cargo run --release --offline -q -p apenet-bench --bin trace-export
 
 echo "==> harness artifacts (figures, tables and traces match committed)"
-# Every other results/ file the cluster harness produces, plus the two
-# traces written above; the remaining artifacts are diffed below.
+# Every paper figure and table (the HSG and BFS applications included)
+# and the other harness artifacts, plus the two traces written above;
+# the remaining artifacts are diffed below.
 harness_bins=(fig03 table1 fig04 fig05 fig06 fig07 fig08 fig09 fig10
+    table2 table3 fig11 table4 fig12
     bar1-ablation bidir chaos-sweep degraded-route latency-breakdown)
 harness_outputs=(results/trace_pingpong.json results/trace_incast.json)
 for bin in "${harness_bins[@]}"; do

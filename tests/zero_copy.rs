@@ -1,11 +1,10 @@
 //! The zero-copy guarantee, end to end: a clean (no fault injection)
 //! two-node G-G transfer fragments and delivers its payload purely by
-//! refcount bumps and range narrowing. The process-global copied-bytes
+//! refcount bumps and range narrowing. The calling thread's copied-bytes
 //! counter (bumped by every copy-on-write and gather fallback in the
-//! payload fabric) must not move.
-//!
-//! This test lives in its own integration binary so no concurrently
-//! running test can touch the global counter.
+//! payload fabric) must not move. The simulation runs on this thread,
+//! and the counter is per-thread, so no concurrently running test can
+//! move it.
 
 use apenet::cluster::harness::{two_node_bandwidth, BufSide, TwoNodeParams};
 use apenet::cluster::presets::cluster_i_default;
