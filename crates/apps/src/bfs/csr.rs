@@ -12,49 +12,51 @@ pub struct Csr {
 impl Csr {
     /// Build from an edge list over `n` vertices.
     pub fn build(n: usize, edges: &[(u32, u32)]) -> Self {
-        // Counting sort into rows, both directions.
-        let mut deg = vec![0u64; n];
+        // Counting sort into rows, both directions: count degrees, turn
+        // them into row ends, then fill each row back to front so the
+        // ends become row starts.
+        let mut offsets = vec![0u64; n + 1];
         for &(u, v) in edges {
             if u != v {
-                deg[u as usize] += 1;
-                deg[v as usize] += 1;
+                offsets[u as usize] += 1;
+                offsets[v as usize] += 1;
             }
         }
-        let mut offsets = vec![0u64; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
         }
         let mut adjacency = vec![0u32; offsets[n] as usize];
-        let mut cursor = offsets.clone();
         for &(u, v) in edges {
             if u != v {
-                adjacency[cursor[u as usize] as usize] = v;
-                cursor[u as usize] += 1;
-                adjacency[cursor[v as usize] as usize] = u;
-                cursor[v as usize] += 1;
+                offsets[u as usize] -= 1;
+                adjacency[offsets[u as usize] as usize] = v;
+                offsets[v as usize] -= 1;
+                adjacency[offsets[v as usize] as usize] = u;
             }
         }
-        // Sort and dedup each row in place, then compact.
-        let mut out_adj = Vec::with_capacity(adjacency.len());
-        let mut out_off = vec![0u64; n + 1];
+        // Sort and dedup each row, compacting in place: a row's unique
+        // entries move down to `kept`, which never passes the row start.
+        let mut kept = 0usize;
         for i in 0..n {
-            let row = &mut adjacency[offsets[i] as usize..offsets[i + 1] as usize];
-            row.sort_unstable();
-            let before = out_adj.len();
-            let mut last = None;
-            for &x in row.iter() {
-                if Some(x) != last {
-                    out_adj.push(x);
-                    last = Some(x);
+            let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+            offsets[i] = kept as u64;
+            adjacency[start..end].sort_unstable();
+            let row_start = kept;
+            for j in start..end {
+                let x = adjacency[j];
+                if kept == row_start || adjacency[kept - 1] != x {
+                    adjacency[kept] = x;
+                    kept += 1;
                 }
             }
-            out_off[i + 1] = out_off[i] + (out_adj.len() - before) as u64;
         }
-        let undirected_edges = out_off[n] / 2;
+        offsets[n] = kept as u64;
+        adjacency.truncate(kept);
+        adjacency.shrink_to_fit();
         Csr {
-            offsets: out_off,
-            adjacency: out_adj,
-            undirected_edges,
+            offsets,
+            adjacency,
+            undirected_edges: kept as u64 / 2,
         }
     }
 
@@ -87,6 +89,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn builds_undirected_deduped() {
@@ -110,6 +113,40 @@ mod tests {
             for &v in g.neighbors(u) {
                 assert!(g.has_edge(v, u), "asymmetric {u}-{v}");
             }
+        }
+    }
+
+    /// `BTreeSet`-per-row reference: both directions, no self-loops.
+    fn naive_rows(n: usize, edges: &[(u32, u32)]) -> Vec<BTreeSet<u32>> {
+        let mut rows = vec![BTreeSet::new(); n];
+        for &(u, v) in edges {
+            if u != v {
+                rows[u as usize].insert(v);
+                rows[v as usize].insert(u);
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn in_place_build_matches_a_set_per_row() {
+        for (scale, seed) in [(4, 1), (6, 2), (9, 3)] {
+            let n = 1usize << scale;
+            let mut edges = crate::bfs::rmat::generate(scale, 16, seed);
+            // Make sure both kinds of redundancy are present.
+            edges.extend_from_slice(&[(3, 3), (0, 1), (1, 0), (0, 1)]);
+            assert!(edges.iter().any(|&(u, v)| u == v));
+            let g = Csr::build(n, &edges);
+            let rows = naive_rows(n, &edges);
+            for (u, row) in rows.iter().enumerate() {
+                assert!(
+                    g.neighbors(u as u32).iter().eq(row),
+                    "scale {scale} row {u}"
+                );
+            }
+            let total: usize = rows.iter().map(BTreeSet::len).sum();
+            assert_eq!(g.undirected_edges(), total as u64 / 2);
+            assert_eq!(g.adjacency.capacity(), g.adjacency.len());
         }
     }
 

@@ -37,21 +37,22 @@ impl Partition {
     }
 }
 
-/// Per-rank BFS state.
+/// Per-rank BFS state over the owned range `[lo, hi) = part.range(rank)`.
 #[derive(Debug, Clone)]
 pub struct RankState {
     /// This rank.
     pub rank: usize,
     /// The partition.
     pub part: Partition,
-    /// Global level array restricted to owned vertices (indexed globally
-    /// for simplicity; foreign entries stay −1).
+    /// Levels of the owned vertices, indexed by `v - lo` (−1 = unreached).
     pub level: Vec<i32>,
-    /// Parents of owned vertices.
+    /// Parents of the owned vertices, indexed by `v - lo`.
     pub parent: Vec<i64>,
     /// Current frontier (owned vertices discovered last level).
     pub frontier: Vec<u32>,
-    /// Per-level dedup bitmap for remote candidates.
+    /// First owned vertex.
+    lo: u32,
+    /// Per-level dedup bitmap for remote candidates (global vertex ids).
     sent: Vec<u64>,
 }
 
@@ -67,27 +68,23 @@ pub struct Expansion {
 impl RankState {
     /// Fresh state; seeds the frontier with `root` if owned.
     pub fn new(rank: usize, part: Partition, root: u32) -> Self {
+        let (lo, hi) = part.range(rank);
+        let owned = (hi - lo) as usize;
         let mut s = RankState {
             rank,
             part,
-            level: vec![-1; part.n],
-            parent: vec![-1; part.n],
+            level: vec![-1; owned],
+            parent: vec![-1; owned],
             frontier: Vec::new(),
+            lo,
             sent: vec![0; part.n.div_ceil(64)],
         };
-        if part.owner(root) == rank {
-            s.level[root as usize] = 0;
-            s.parent[root as usize] = root as i64;
+        if (lo..hi).contains(&root) {
+            s.level[(root - lo) as usize] = 0;
+            s.parent[(root - lo) as usize] = root as i64;
             s.frontier.push(root);
         }
         s
-    }
-
-    fn sent_test_set(&mut self, v: u32) -> bool {
-        let (w, b) = (v as usize / 64, v as usize % 64);
-        let was = self.sent[w] & (1 << b) != 0;
-        self.sent[w] |= 1 << b;
-        was
     }
 
     /// Scan the current frontier: local discoveries are applied on the
@@ -96,25 +93,33 @@ impl RankState {
     /// sort-unique pass of the paper's multi-GPU BFS [15]).
     pub fn expand(&mut self, g: &Csr, next_level: i32) -> Expansion {
         let np = self.part.np;
+        let chunk = self.part.chunk();
+        let lo = self.lo;
         let mut to_rank: Vec<Vec<(u32, u32)>> = (0..np).map(|_| Vec::new()).collect();
         let mut edges = 0u64;
-        for w in self.sent.iter_mut() {
-            *w = 0;
-        }
+        self.sent.fill(0);
         let frontier = std::mem::take(&mut self.frontier);
         let mut local_new = Vec::new();
+        let (level, parent, sent) = (&mut self.level[..], &mut self.parent[..], &mut self.sent);
         for &u in &frontier {
-            edges += g.degree(u);
-            for &v in g.neighbors(u) {
-                let owner = self.part.owner(v);
-                if owner == self.rank {
-                    if self.level[v as usize] < 0 {
-                        self.level[v as usize] = next_level;
-                        self.parent[v as usize] = u as i64;
+            let adj = g.neighbors(u);
+            edges += adj.len() as u64;
+            for &v in adj {
+                // `lo <= v < hi` in one compare: `v - lo` indexes `level`.
+                let i = v.wrapping_sub(lo) as usize;
+                if let Some(l) = level.get_mut(i) {
+                    if *l < 0 {
+                        *l = next_level;
+                        parent[i] = u as i64;
                         local_new.push(v);
                     }
-                } else if !self.sent_test_set(v) {
-                    to_rank[owner].push((v, u));
+                } else {
+                    // Remote: send once per level, to the owner `v / chunk`.
+                    let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
+                    if sent[w] & bit == 0 {
+                        sent[w] |= bit;
+                        to_rank[v as usize / chunk].push((v, u));
+                    }
                 }
             }
         }
@@ -132,9 +137,10 @@ impl RankState {
         let mut fresh = 0;
         for &(v, p) in pairs {
             debug_assert_eq!(self.part.owner(v), self.rank);
-            if self.level[v as usize] < 0 {
-                self.level[v as usize] = next_level;
-                self.parent[v as usize] = p as i64;
+            let i = (v - self.lo) as usize;
+            if self.level[i] < 0 {
+                self.level[i] = next_level;
+                self.parent[i] = p as i64;
                 self.frontier.push(v);
                 fresh += 1;
             }
@@ -231,12 +237,34 @@ mod tests {
         };
         for r in &ranks {
             let (lo, hi) = part.range(r.rank);
-            for v in lo..hi {
-                out.level[v as usize] = r.level[v as usize];
-                out.parent[v as usize] = r.parent[v as usize];
-            }
+            let owned = lo as usize..hi as usize;
+            out.level[owned.clone()].copy_from_slice(&r.level);
+            out.parent[owned].copy_from_slice(&r.parent);
         }
         out
+    }
+
+    #[test]
+    fn rank_state_covers_only_the_owned_range() {
+        let part = Partition { n: 10, np: 3 };
+        let s = RankState::new(2, part, 9);
+        assert_eq!((s.level.len(), s.parent.len()), (2, 2));
+        assert_eq!((s.level[1], s.parent[1]), (0, 9));
+        assert_eq!(s.frontier, [9]);
+        assert!(RankState::new(0, part, 9).frontier.is_empty());
+    }
+
+    #[test]
+    fn ranks_without_vertices_still_traverse() {
+        // 4 vertices over up to 8 ranks: ranks 4.. own nothing.
+        let g = Csr::build(4, &rmat::generate(2, 16, 500));
+        let reference = seq::bfs(&g, 1);
+        for np in [1, 2, 7, 8] {
+            let tree = run_inprocess(&g, np, 1);
+            seq::validate(&g, 1, &tree, &reference).unwrap_or_else(|e| panic!("np={np}: {e}"));
+        }
+        let idle = RankState::new(7, Partition { n: 4, np: 8 }, 1);
+        assert!(idle.level.is_empty() && idle.frontier.is_empty());
     }
 
     #[test]

@@ -22,8 +22,9 @@ use apenet_ib::{CudaAwareMpi, IbConfig};
 use apenet_rdma::api::SrcHint;
 use apenet_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Run parameters.
 #[derive(Debug, Clone)]
@@ -100,8 +101,10 @@ struct RankDone {
     wall_end: SimTime,
     comp: SimDuration,
     comm: SimDuration,
+    /// The rank's owned-range arrays (empty when it owns no vertices).
     level: Vec<i32>,
     parent: Vec<i64>,
+    /// Levels run; 0 until the rank finishes.
     levels: u32,
 }
 
@@ -322,10 +325,23 @@ impl HostProgram for BfsRank {
 /// permute)`.
 type GraphKey = (u32, u32, u64, bool);
 
+/// A memoised graph and what is known about runs on it.
+struct Memo {
+    key: GraphKey,
+    csr: Arc<Csr>,
+    /// [`max_message_pairs`] by `(np, root)`.
+    slot_pairs: BTreeMap<(usize, u32), u64>,
+}
+
 /// The most recently built graph. One slot: a run with another key
-/// replaces it, so the process retains at most one graph beyond the
-/// `Arc`s that runs still hold.
-static GRAPH: Mutex<Option<(GraphKey, Arc<Csr>)>> = Mutex::new(None);
+/// replaces it (slot sizes included), so the process retains at most one
+/// graph beyond the `Arc`s that runs still hold.
+static GRAPH: Mutex<Option<Memo>> = Mutex::new(None);
+
+fn memo() -> MutexGuard<'static, Option<Memo>> {
+    // A panic mid-build leaves the slot empty, never half-written.
+    GRAPH.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The CSR of `cfg`'s R-MAT graph, built once per key and shared
 /// read-only. The lock is held while building, so concurrent sweep
@@ -334,19 +350,45 @@ static GRAPH: Mutex<Option<(GraphKey, Arc<Csr>)>> = Mutex::new(None);
 /// the same runs.
 fn graph(cfg: &BfsConfig) -> Arc<Csr> {
     let key = (cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
-    // A panic mid-build leaves the slot empty, never half-written.
-    let mut slot = GRAPH.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((k, g)) = slot.as_ref() {
-        if *k == key {
-            return g.clone();
-        }
+    let mut slot = memo();
+    if let Some(m) = slot.as_ref().filter(|m| m.key == key) {
+        return m.csr.clone();
     }
     // Drop the old graph first: peak memory holds one graph, not two.
     *slot = None;
     let edges = rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
-    let g = Arc::new(Csr::build(1 << cfg.scale, &edges));
-    *slot = Some((key, g.clone()));
-    g
+    let csr = Arc::new(Csr::build(1 << cfg.scale, &edges));
+    *slot = Some(Memo {
+        key,
+        csr: csr.clone(),
+        slot_pairs: BTreeMap::new(),
+    });
+    csr
+}
+
+/// [`max_message_pairs`] for `cfg` on `g`, memoised beside `g` while it
+/// holds the slot. The dry run happens outside the lock so sweep workers
+/// at other rank counts are not held up; it is a pure function of
+/// `(g, np, root)`, so a racing duplicate stores the same value.
+fn slot_pairs(cfg: &BfsConfig, g: &Arc<Csr>) -> u64 {
+    let at = (cfg.np, cfg.root);
+    let held = |m: &&mut Memo| Arc::ptr_eq(&m.csr, g);
+    if let Some(&pairs) = memo()
+        .as_mut()
+        .filter(held)
+        .and_then(|m| m.slot_pairs.get(&at))
+    {
+        return pairs;
+    }
+    let part = Partition {
+        n: g.n(),
+        np: cfg.np,
+    };
+    let pairs = max_message_pairs(g, part, cfg.root);
+    if let Some(m) = memo().as_mut().filter(held) {
+        m.slot_pairs.insert(at, pairs);
+    }
+    pairs
 }
 
 /// Run the APEnet+ version (GPU peer-to-peer, Table IV left column).
@@ -359,7 +401,7 @@ pub fn run_apenet_on(cfg: &BfsConfig, node_cfg: NodeConfig) -> BfsResult {
     let g = graph(cfg);
     let n = g.n();
     let part = Partition { n, np: cfg.np };
-    let slot_bytes = 4 + 8 * max_message_pairs(&g, part, cfg.root);
+    let slot_bytes = 4 + 8 * slot_pairs(cfg, &g);
     let done = Rc::new(RefCell::new(
         (0..cfg.np).map(|_| RankDone::default()).collect::<Vec<_>>(),
     ));
@@ -428,19 +470,26 @@ fn max_message_pairs(g: &Csr, part: Partition, root: u32) -> u64 {
     }
 }
 
-fn finish(g: &Csr, part: Partition, ranks: &[RankDone]) -> BfsResult {
+/// Merge the ranks' owned-range arrays into one tree.
+fn merge<'a>(part: Partition, ranks: impl Iterator<Item = (&'a [i32], &'a [i64])>) -> BfsTree {
     let mut tree = BfsTree {
-        level: vec![-1; g.n()],
-        parent: vec![-1; g.n()],
+        level: vec![-1; part.n],
+        parent: vec![-1; part.n],
     };
-    for (r, d) in ranks.iter().enumerate() {
-        assert!(!d.level.is_empty(), "rank {r} never finished");
+    for (r, (level, parent)) in ranks.enumerate() {
         let (lo, hi) = part.range(r);
-        for v in lo..hi {
-            tree.level[v as usize] = d.level[v as usize];
-            tree.parent[v as usize] = d.parent[v as usize];
-        }
+        let owned = lo as usize..hi as usize;
+        tree.level[owned.clone()].copy_from_slice(level);
+        tree.parent[owned].copy_from_slice(parent);
     }
+    tree
+}
+
+fn finish(g: &Csr, part: Partition, ranks: &[RankDone]) -> BfsResult {
+    for (r, d) in ranks.iter().enumerate() {
+        assert!(d.levels > 0, "rank {r} never finished");
+    }
+    let tree = merge(part, ranks.iter().map(|d| (&d.level[..], &d.parent[..])));
     let wall = ranks
         .iter()
         .map(|d| d.wall_end)
@@ -526,17 +575,7 @@ pub fn run_ib(cfg: &BfsConfig, ib: IbConfig) -> BfsResult {
         level += 1;
         assert!(level < 1000);
     }
-    let mut tree = BfsTree {
-        level: vec![-1; n],
-        parent: vec![-1; n],
-    };
-    for (r, s) in states.iter().enumerate() {
-        let (lo, hi) = part.range(r);
-        for v in lo..hi {
-            tree.level[v as usize] = s.level[v as usize];
-            tree.parent[v as usize] = s.parent[v as usize];
-        }
-    }
+    let tree = merge(part, states.iter().map(|s| (&s.level[..], &s.parent[..])));
     let wall = clocks
         .iter()
         .fold(SimTime::ZERO, |a, &t| a.max(t))
@@ -555,7 +594,6 @@ pub fn run_ib(cfg: &BfsConfig, ib: IbConfig) -> BfsResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
 
     /// The slot is process-wide: tests that inspect it take turns.
     fn serial() -> MutexGuard<'static, ()> {
@@ -564,11 +602,15 @@ mod tests {
     }
 
     fn slot_key() -> Option<GraphKey> {
-        GRAPH.lock().unwrap().as_ref().map(|(k, _)| *k)
+        memo().as_ref().map(|m| m.key)
+    }
+
+    fn memoised_pairs(np: usize, root: u32) -> Option<u64> {
+        memo().as_ref()?.slot_pairs.get(&(np, root)).copied()
     }
 
     fn clear_slot() {
-        *GRAPH.lock().unwrap() = None;
+        *memo() = None;
     }
 
     #[test]
@@ -615,15 +657,75 @@ mod tests {
     }
 
     #[test]
+    fn memoised_slot_sizes_match_fresh_dry_runs() {
+        let _serial = serial();
+        clear_slot();
+        for root in [1, 77] {
+            for np in [1, 2, 4, 8] {
+                let cfg = BfsConfig {
+                    root,
+                    ..BfsConfig::small(9, np)
+                };
+                let g = graph(&cfg);
+                let fresh = max_message_pairs(&g, Partition { n: g.n(), np }, root);
+                assert_eq!(memoised_pairs(np, root), None);
+                assert_eq!(slot_pairs(&cfg, &g), fresh, "np={np} root={root}");
+                assert_eq!(memoised_pairs(np, root), Some(fresh));
+                assert_eq!(slot_pairs(&cfg, &g), fresh, "hot np={np} root={root}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_key_evicts_the_slot_sizes() {
+        let _serial = serial();
+        clear_slot();
+        let raw = BfsConfig::small(8, 4);
+        let g = graph(&raw);
+        let pairs = slot_pairs(&raw, &g);
+        assert_eq!(memoised_pairs(4, raw.root), Some(pairs));
+        let permuted = BfsConfig {
+            permute: true,
+            ..raw.clone()
+        };
+        graph(&permuted);
+        assert_eq!(memoised_pairs(4, raw.root), None);
+        // A size for an evicted graph is computed but not stored beside
+        // the new one.
+        assert_eq!(slot_pairs(&raw, &g), pairs);
+        assert_eq!(memoised_pairs(4, raw.root), None);
+    }
+
+    #[test]
     fn hot_slot_runs_match_cold_ones() {
         let _serial = serial();
-        let cfg = BfsConfig::small(9, 4);
-        clear_slot();
-        let cold = run_apenet(&cfg);
-        assert_eq!(slot_key(), Some((9, 16, 500, false)));
-        assert_eq!(cold, run_apenet(&cfg));
-        clear_slot();
-        let cold = run_ib(&cfg, IbConfig::cluster_ii());
-        assert_eq!(cold, run_ib(&cfg, IbConfig::cluster_ii()));
+        for (np, root) in [(4, 1), (8, 1), (8, 300)] {
+            let cfg = BfsConfig {
+                root,
+                ..BfsConfig::small(9, np)
+            };
+            clear_slot();
+            let cold = run_apenet(&cfg);
+            assert_eq!(slot_key(), Some((9, 16, 500, false)));
+            assert!(memoised_pairs(np, root).is_some());
+            assert_eq!(cold, run_apenet(&cfg), "np={np} root={root}");
+            clear_slot();
+            let cold = run_ib(&cfg, IbConfig::cluster_ii());
+            assert_eq!(cold, run_ib(&cfg, IbConfig::cluster_ii()));
+        }
+    }
+
+    #[test]
+    fn more_ranks_than_vertices() {
+        // Scale 2 over 8 ranks: ranks 4..8 own no vertices and finish
+        // with empty arrays.
+        let _serial = serial();
+        let cfg = BfsConfig::small(2, 8);
+        let g = graph(&cfg);
+        let reference = seq::bfs(&g, cfg.root);
+        for r in [run_apenet(&cfg), run_ib(&cfg, IbConfig::cluster_ii())] {
+            seq::validate(&g, cfg.root, &r.tree, &reference).unwrap();
+            assert_eq!(r.breakdown.len(), 8);
+        }
     }
 }

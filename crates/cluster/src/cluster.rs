@@ -366,12 +366,6 @@ impl Cluster {
         self.sim
             .send(self.hosts[rank], at, Msg::Host(HostIn::Wake(tag)));
     }
-
-    /// Convenience: wake after a delay from now.
-    pub fn wake_host_after(&mut self, rank: usize, delay: SimDuration, tag: u64) {
-        let at = self.sim.now() + delay;
-        self.wake_host(rank, at, tag);
-    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@
 //! * `cluster.calendar` — pending-event count of the engine itself.
 
 use crate::cluster::Cluster;
-use apenet_core::coord::LinkDir;
 use apenet_obs::sampler::sample_period_from_env;
 use apenet_obs::Registry;
 use apenet_pcie::link::Dir;
@@ -35,11 +34,6 @@ use apenet_sim::{SimDuration, SimTime};
 /// Short stable labels for the six torus directions plus loop-back,
 /// in port-index order.
 pub const PORT_LABELS: [&str; 7] = ["x+", "x-", "y+", "y-", "z+", "z-", "lb"];
-
-/// Label for the port of `dir`.
-pub fn dir_label(dir: LinkDir) -> &'static str {
-    PORT_LABELS[dir.index()]
-}
 
 /// The periodic occupancy probe. Owns a private [`Registry`] so sampled
 /// series never leak into the global metrics namespace; consumers read

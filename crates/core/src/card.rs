@@ -61,12 +61,6 @@ impl Firmware {
         }
     }
 
-    /// Register a host buffer (driver side of the registration call).
-    pub fn register_host(&mut self, vaddr: u64, len: u64, pid: u32) -> usize {
-        self.try_register_host(vaddr, len, pid)
-            .expect("BUF_LIST full")
-    }
-
     /// Fallible host registration: a full BUF_LIST rejects the request
     /// before any V2P state is touched, so the host can unregister a
     /// buffer and retry.
@@ -83,19 +77,6 @@ impl Firmware {
             kind: BufKind::Host,
             pid,
         })
-    }
-
-    /// Register a GPU buffer: fills the per-GPU V2P table with one page
-    /// descriptor per 64 KB page, as the P2P mapping flow does.
-    pub fn register_gpu(
-        &mut self,
-        gpu: apenet_gpu::GpuId,
-        vaddr: u64,
-        len: u64,
-        pid: u32,
-    ) -> usize {
-        self.try_register_gpu(gpu, vaddr, len, pid)
-            .expect("BUF_LIST full")
     }
 
     /// Fallible GPU registration (see [`Firmware::try_register_host`]).
@@ -803,11 +784,6 @@ impl Card {
     pub fn set_fault_injector(&mut self, port: Port, inj: FaultInjector) {
         self.fault_active = true;
         self.injectors[port.index()] = Some(inj);
-    }
-
-    /// The fault injector on `port`, if any.
-    pub fn fault_injector(&self, port: Port) -> Option<&FaultInjector> {
-        self.injectors[port.index()].as_ref()
     }
 
     /// Arm the fault plane without attaching an injector: admin kill

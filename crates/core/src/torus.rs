@@ -110,13 +110,6 @@ pub enum LinkMsg {
     },
 }
 
-impl LinkMsg {
-    /// True for data frames (false for control symbols).
-    pub fn is_data(&self) -> bool {
-        matches!(self, LinkMsg::Data(_))
-    }
-}
-
 /// One direction of one torus cable between two adjacent cards.
 #[derive(Debug, Clone)]
 pub struct TorusLink {

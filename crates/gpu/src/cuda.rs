@@ -217,27 +217,6 @@ impl CudaDevice {
         })
     }
 
-    /// `cudaMemcpyAsync` host-to-device on `stream`.
-    pub fn memcpy_h2d_async(
-        &mut self,
-        now: SimTime,
-        stream: StreamId,
-        host: &mut Memory,
-        dst_dev: u64,
-        src_host: u64,
-        len: u64,
-    ) -> Result<MemcpyDone, MemError> {
-        let data = host.read_payload(src_host, len)?;
-        self.mem.write(dst_dev, &data)?;
-        let ready = now.max(self.streams[stream.0]);
-        let t = self.dma_h2d.transfer(ready, len);
-        self.streams[stream.0] = t.end;
-        Ok(MemcpyDone {
-            host_free: now,
-            data_done: t.end,
-        })
-    }
-
     /// `cudaMemcpyPeer`: copy between two devices over the PCIe fabric
     /// using the P2P protocol — the single-box technique §I credits with
     /// "a 50% performance gain on capability problems". The source's DMA

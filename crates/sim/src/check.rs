@@ -65,11 +65,6 @@ impl Gen {
         self.rng.chance(p)
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn f64_unit(&mut self) -> f64 {
-        self.rng.next_f64()
-    }
-
     /// A random byte vector with length in `[min_len, max_len]`.
     pub fn bytes(&mut self, min_len: usize, max_len: usize) -> Vec<u8> {
         let n = self.usize(min_len, max_len + 1);
@@ -105,13 +100,6 @@ fn env_u64(name: &str) -> Option<u64> {
 /// Base seed for this process (`APENET_PROP_SEED` or [`DEFAULT_SEED`]).
 pub fn base_seed() -> u64 {
     env_u64("APENET_PROP_SEED").unwrap_or(DEFAULT_SEED)
-}
-
-/// Case count for this process (`APENET_PROP_CASES` or [`DEFAULT_CASES`]).
-pub fn case_count() -> u32 {
-    env_u64("APENET_PROP_CASES")
-        .map(|n| n as u32)
-        .unwrap_or(DEFAULT_CASES)
 }
 
 /// Run `property` for `n` seeded cases (capped/overridden by

@@ -100,11 +100,6 @@ impl SimDuration {
         SimDuration(s * PS_PER_S)
     }
 
-    /// Construct from a float number of microseconds (rounds to nearest ps).
-    pub fn from_us_f64(us: f64) -> Self {
-        SimDuration((us * PS_PER_US as f64).round() as u64)
-    }
-
     /// Raw picoseconds.
     pub const fn as_ps(self) -> u64 {
         self.0

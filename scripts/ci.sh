@@ -56,6 +56,14 @@ for bin in "${harness_bins[@]}"; do
 done
 git diff --exit-code -- "${harness_outputs[@]}"
 
+echo "==> BFS sweep determinism (table4 + fig12 serial match the concurrent run)"
+# The sweep points share one memoised graph and its exchange-slot sizes;
+# a serial pass must write the same bytes as the concurrent one above.
+for bin in table4 fig12; do
+    APENET_SWEEP_THREADS=1 cargo run --release --offline -q -p apenet-bench --bin "$bin" >/dev/null
+done
+git diff --exit-code -- results/table4.txt results/fig12.txt
+
 echo "==> deterministic telemetry artifacts (sim-profile + congestion-heatmap match committed)"
 cargo run --release --offline -q -p apenet-bench --bin sim-profile
 cargo run --release --offline -q -p apenet-bench --bin congestion-heatmap
