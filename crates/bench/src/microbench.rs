@@ -156,6 +156,7 @@ pub fn run_all(h: &mut Harness) {
     engine_benches(h);
     fabric_benches(h);
     frag_benches(h);
+    gpu_mem_benches(h);
     app_benches(h);
     tail_benches(h);
     overload_benches(h);
@@ -342,6 +343,39 @@ fn fabric_benches(h: &mut Harness) {
             },
         )
         .bandwidth
+    });
+}
+
+/// The GPU memory model's byte movers: a 4 MB staged `cudaMemcpy`
+/// (page-to-page, into device pages that already exist) and the RX
+/// first-touch pattern, 4 KiB packet writes creating fresh 64 KiB pages.
+fn gpu_mem_benches(h: &mut Harness) {
+    use apenet_gpu::cuda::CudaDevice;
+    use apenet_gpu::uva::HOST_BASE;
+    use apenet_gpu::{GpuArch, GpuId, Memory, GPU_PAGE_SIZE, HOST_PAGE_SIZE};
+    use apenet_sim::SimTime;
+
+    const LEN: u64 = 4 << 20;
+    let mut host = Memory::new(HOST_BASE, LEN, HOST_PAGE_SIZE);
+    let src = host.alloc(LEN).unwrap();
+    let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    host.write(src, &data).unwrap();
+    let mut dev = CudaDevice::new(GpuId(0), GpuArch::Fermi2050);
+    let dst = dev.malloc(LEN).unwrap();
+    h.bench("gpu_memcpy_h2d_4mb", || {
+        dev.reset_timing();
+        dev.memcpy_h2d_sync(SimTime::ZERO, &host, dst, src, LEN)
+            .unwrap()
+            .data_done
+    });
+    let packet = [0x5Au8; 4096];
+    h.bench("gpu_rx_first_touch_4mb", || {
+        let mut mem = Memory::new(0, LEN, GPU_PAGE_SIZE);
+        let at = mem.alloc(LEN).unwrap();
+        for off in (0..LEN).step_by(packet.len()) {
+            mem.write(at + off, &packet).unwrap();
+        }
+        mem.allocated()
     });
 }
 

@@ -37,6 +37,8 @@ use crate::sampling::OccupancySampler;
 use apenet_core::config::TxSinkMode;
 use apenet_core::coord::{Coord, TorusDims};
 use apenet_core::packet::MsgId;
+use apenet_gpu::mem::Memory;
+use apenet_gpu::GPU_PAGE_SIZE;
 use apenet_obs::alert::RuleSet;
 use apenet_obs::latency::{
     attach_errors, collect_ledgers, metrics as tail_metrics, MsgLedger, TailConfig, TailSummary,
@@ -100,12 +102,22 @@ fn alloc_buf(node: &NodeCtx, side: BufSide, len: u64) -> u64 {
 }
 
 fn fill_buf(node: &NodeCtx, side: BufSide, addr: u64, len: u64, seed: u8) {
-    let data: Vec<u8> = (0..len)
-        .map(|i| (i as u8).wrapping_mul(31) ^ seed)
-        .collect();
+    let byte = |i: u64| (i as u8).wrapping_mul(31) ^ seed;
     match side {
-        BufSide::Host => node.hostmem.borrow_mut().write(addr, &data).unwrap(),
-        BufSide::Gpu => node.cuda[0].borrow_mut().mem.write(addr, &data).unwrap(),
+        BufSide::Host => write_tiled(&mut node.hostmem.borrow_mut(), addr, len, byte),
+        BufSide::Gpu => write_tiled(&mut node.cuda[0].borrow_mut().mem, addr, len, byte),
+    }
+}
+
+/// Write `len` bytes of a 256-periodic stream (`byte(i)` depends on
+/// `i % 256` only) at `addr`, as one page-sized tile repeated.
+fn write_tiled(mem: &mut Memory, addr: u64, len: u64, byte: impl Fn(u64) -> u8) {
+    let tile: Vec<u8> = (0..mem.page_size().min(len)).map(byte).collect();
+    let mut off = 0;
+    while off < len {
+        let n = (tile.len() as u64).min(len - off);
+        mem.write(addr + off, &tile[..n as usize]).unwrap();
+        off += n;
     }
 }
 
@@ -1130,8 +1142,8 @@ impl ChaosShared {
     /// Fill `rank`'s TX buffer at `tx` with its `len`-byte stream and
     /// record where it lives, for the payload verifier.
     fn write_stream(&mut self, node: &NodeCtx, rank: u32, tx: u64, len: u64) {
-        let data: Vec<u8> = (0..len).map(|o| chaos_byte(rank, o)).collect();
-        node.cuda[0].borrow_mut().mem.write(tx, &data).unwrap();
+        let mem = &mut node.cuda[0].borrow_mut().mem;
+        write_tiled(mem, tx, len, |o| chaos_byte(rank, o));
         self.tx_base[rank as usize] = tx;
     }
 
@@ -1205,21 +1217,34 @@ fn chaos_byte(src_rank: u32, off: u64) -> u8 {
 /// hold the owner's stream at the message's offset in the owner's TX
 /// buffer. Undelivered messages are skipped — with recovery disabled,
 /// lost messages leave their slots unwritten.
+///
+/// Each landed page chunk is compared in place against a window of the
+/// owner's stream tile; the stream is 256-periodic, so one tile of a page
+/// plus 255 bytes holds every chunk at every phase.
 fn payload_ok(cluster: &Cluster, sh: &ChaosShared) -> bool {
+    let mut tiles: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
     sh.descs
         .iter()
         .filter(|(m, _)| sh.delivered.contains(m))
         .all(|(_, desc)| {
             let l = desc.landing(cluster.dims);
-            let got = cluster.host(l.rank).node.cuda[0]
-                .borrow_mut()
+            let tile = tiles.entry(l.owner).or_insert_with(|| {
+                (0..GPU_PAGE_SIZE + 255)
+                    .map(|o| chaos_byte(l.owner, o))
+                    .collect()
+            });
+            let mut o = l.from - sh.tx_base[l.owner as usize];
+            let mut ok = true;
+            cluster.host(l.rank).node.cuda[0]
+                .borrow()
                 .mem
-                .read_vec(l.addr, l.len)
+                .for_each_chunk(l.addr, l.len, |chunk| {
+                    let phase = (o % 256) as usize;
+                    ok &= chunk == &tile[phase..phase + chunk.len()];
+                    o += chunk.len() as u64;
+                })
                 .expect("landing range lies in the rank's GPU memory");
-            let off = l.from - sh.tx_base[l.owner as usize];
-            got.iter()
-                .zip(off..)
-                .all(|(&b, o)| b == chaos_byte(l.owner, o))
+            ok
         })
 }
 
@@ -2250,33 +2275,59 @@ mod tests {
     use super::*;
     use crate::presets::{cluster_i_default, cluster_i_incast};
 
-    /// The verifier passes a clean run, flags one flipped byte in a
-    /// delivered message's landing range, and skips that range once its
+    /// The verifier passes a clean run and flags one flipped byte in a
+    /// delivered message's landing range — at its first byte, its last
+    /// byte and on a 64 KiB page boundary inside it, where the chunked
+    /// comparison starts a new chunk — and skips that range once its
     /// message counts as undelivered.
     fn assert_verifier_catches_a_flip(cluster: &Cluster, rig: &Rig) {
         let mut sh = rig.shared.borrow_mut();
         assert_eq!(sh.delivered.len(), sh.descs.len(), "clean run delivers all");
         assert!(payload_ok(cluster, &sh), "a clean run verifies");
-        let msg = *sh.delivered.iter().next().expect("a delivered message");
-        let l = sh.descs[&msg].landing(cluster.dims);
-        let at = l.addr + l.len / 2;
-        let mut gpu = cluster.host(l.rank).node.cuda[0].borrow_mut();
-        let byte = gpu.mem.read_vec(at, 1).unwrap()[0];
-        gpu.mem.write(at, &[byte ^ 1]).unwrap();
-        drop(gpu);
-        assert!(
-            !payload_ok(cluster, &sh),
-            "a flipped landing byte is flagged"
-        );
-        sh.delivered.remove(&msg);
-        assert!(payload_ok(cluster, &sh), "an undelivered slot is skipped");
+        let landings: Vec<(MsgId, Landing)> = sh
+            .descs
+            .iter()
+            .map(|(&m, d)| (m, d.landing(cluster.dims)))
+            .collect();
+        let crossing = landings
+            .iter()
+            .find_map(|(m, l)| {
+                let boundary = (l.addr + 1).next_multiple_of(GPU_PAGE_SIZE);
+                (boundary < l.addr + l.len).then_some((*m, l.rank, boundary))
+            })
+            .expect("a landing range crosses a page boundary");
+        let (msg, l) = &landings[0];
+        let targets = [
+            (*msg, l.rank, l.addr),
+            (*msg, l.rank, l.addr + l.len - 1),
+            crossing,
+        ];
+        for (msg, rank, at) in targets {
+            let flip = |at: u64| {
+                let mut gpu = cluster.host(rank).node.cuda[0].borrow_mut();
+                let byte = gpu.mem.read_vec(at, 1).unwrap()[0];
+                gpu.mem.write(at, &[byte ^ 1]).unwrap();
+            };
+            flip(at);
+            assert!(
+                !payload_ok(cluster, &sh),
+                "a flipped landing byte at {at:#x} is flagged"
+            );
+            sh.delivered.remove(&msg);
+            assert!(payload_ok(cluster, &sh), "an undelivered slot is skipped");
+            sh.delivered.insert(msg);
+            flip(at);
+            assert!(payload_ok(cluster, &sh), "the restored byte verifies");
+        }
     }
 
     #[test]
     fn verifier_flags_a_flipped_landing_byte() {
+        // 24 000 B messages: not a multiple of the 256 B stream period,
+        // and four of them span a 64 KiB page boundary.
         let ring = ChaosParams {
             msgs_per_rank: 4,
-            msg_len: 4096,
+            msg_len: 24_000,
             watchdog_reissue: false,
         };
         for sig in [None, Some(SignalConfig::default())] {
@@ -2288,7 +2339,7 @@ mod tests {
         let storm = IncastParams {
             senders: 2,
             msgs_per_sender: 4,
-            msg_len: 4096,
+            msg_len: 24_000,
             offered: 1,
             verb: IncastVerb::Put,
             pacer: None,

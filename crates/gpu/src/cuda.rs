@@ -5,6 +5,10 @@
 //! events, and synchronous/asynchronous `cudaMemcpy` between host and
 //! device memory (real bytes move; simulated time advances at the DMA
 //! engine rate plus the measured host-synchronous overheads).
+//!
+//! Every `memcpy` here is one [`Memory::copy_from`]: a modelled DMA copy,
+//! not a gather fallback, so it never moves
+//! [`copied_bytes`](apenet_sim::bytes::copied_bytes).
 
 use crate::arch::{ArchSpec, GpuArch};
 use crate::bar1::Bar1;
@@ -166,8 +170,7 @@ impl CudaDevice {
         src_dev: u64,
         len: u64,
     ) -> Result<MemcpyDone, MemError> {
-        let data = self.mem.read_payload(src_dev, len)?;
-        host.write(dst_host, &data)?;
+        host.copy_from(dst_host, &self.mem, src_dev, len)?;
         let t: DmaTransfer = self.dma_d2h.transfer(now, len);
         let host_free = t.end + SYNC_D2H_OVERHEAD;
         Ok(MemcpyDone {
@@ -180,13 +183,12 @@ impl CudaDevice {
     pub fn memcpy_h2d_sync(
         &mut self,
         now: SimTime,
-        host: &mut Memory,
+        host: &Memory,
         dst_dev: u64,
         src_host: u64,
         len: u64,
     ) -> Result<MemcpyDone, MemError> {
-        let data = host.read_payload(src_host, len)?;
-        self.mem.write(dst_dev, &data)?;
+        self.mem.copy_from(dst_dev, host, src_host, len)?;
         let t = self.dma_h2d.transfer(now, len);
         let host_free = t.end + SYNC_H2D_OVERHEAD;
         Ok(MemcpyDone {
@@ -206,8 +208,7 @@ impl CudaDevice {
         src_dev: u64,
         len: u64,
     ) -> Result<MemcpyDone, MemError> {
-        let data = self.mem.read_payload(src_dev, len)?;
-        host.write(dst_host, &data)?;
+        host.copy_from(dst_host, &self.mem, src_dev, len)?;
         let ready = now.max(self.streams[stream.0]);
         let t = self.dma_d2h.transfer(ready, len);
         self.streams[stream.0] = t.end;
@@ -229,8 +230,7 @@ impl CudaDevice {
         src_addr: u64,
         len: u64,
     ) -> Result<MemcpyDone, MemError> {
-        let data = src.mem.read_payload(src_addr, len)?;
-        dst.mem.write(dst_addr, &data)?;
+        dst.mem.copy_from(dst_addr, &src.mem, src_addr, len)?;
         let push = src.dma_d2h.transfer(now, len);
         let absorbed = dst.p2p.absorb_write(push.start, dst_addr, len);
         let done = push.end.max(absorbed);
@@ -313,7 +313,7 @@ mod tests {
         let payload2: Vec<u8> = payload.iter().map(|b| b ^ 0xFF).collect();
         host.write(h, &payload2).unwrap();
         let done2 = dev
-            .memcpy_h2d_sync(done.host_free, &mut host, d, h, 8192)
+            .memcpy_h2d_sync(done.host_free, &host, d, h, 8192)
             .unwrap();
         assert_eq!(dev.mem.read_vec(d, 8192).unwrap(), payload2);
         assert!(done2.host_free > done.host_free);

@@ -1,18 +1,23 @@
 //! Page-backed memory with a first-fit allocator.
 //!
 //! Used for both host memory (4 KB pages) and GPU device memory (64 KB
-//! pages). Backing pages materialize lazily and zero-filled on first
-//! touch, so simulating a 6 GB Tesla costs nothing until data is written.
+//! pages). Backing pages materialize on first write, so simulating a 6 GB
+//! Tesla costs nothing until data is written; a page never written reads
+//! from one shared zero page, so reads never materialize anything.
 //!
 //! Pages are `Arc`-backed so the packet datapath can borrow them
 //! zero-copy: [`Memory::read_payload`] hands out a [`PayloadSlice`] that
 //! shares the page, and writes copy-on-write any page still aliased by an
-//! in-flight payload.
+//! in-flight payload. Otherwise bytes move once: [`Memory::copy_from`]
+//! moves page slice to page slice, and a page created by a whole-page
+//! write is built straight from those bytes.
 
+use crate::GPU_PAGE_SIZE;
 use apenet_sim::bytes::{self, PayloadSlice};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::iter;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from allocation and access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +42,18 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// The all-zero page every never-written page reads from: one process-wide
+/// [`GPU_PAGE_SIZE`] buffer, narrowed for smaller pages.
+fn zero_page() -> &'static Arc<[u8]> {
+    static ZERO: OnceLock<Arc<[u8]>> = OnceLock::new();
+    ZERO.get_or_init(|| iter::repeat_n(0, GPU_PAGE_SIZE as usize).collect())
+}
+
+/// Mutable access to a buffer this thread has just allocated.
+fn sole<T: ?Sized>(arc: &mut Arc<T>) -> &mut T {
+    Arc::get_mut(arc).expect("freshly allocated buffer has one owner")
+}
+
 /// A page-backed memory region living at a fixed base address of the
 /// 64-bit unified virtual address (UVA) space.
 pub struct Memory {
@@ -54,7 +71,10 @@ impl Memory {
     /// Create a memory of `capacity` bytes at UVA `base`, with the given
     /// page size (capacity must be page-aligned).
     pub fn new(base: u64, capacity: u64, page_size: u64) -> Self {
-        assert!(page_size.is_power_of_two());
+        assert!(
+            page_size.is_power_of_two() && page_size <= GPU_PAGE_SIZE,
+            "page size must be a power of two no larger than the zero page"
+        );
         assert_eq!(capacity % page_size, 0, "capacity must be page aligned");
         let mut free = BTreeMap::new();
         free.insert(0, capacity);
@@ -146,29 +166,83 @@ impl Memory {
         Ok(())
     }
 
-    /// The (shared, lazily zero-filled) page covering offset `off`.
-    fn page_arc(&mut self, off: u64) -> &Arc<[u8]> {
+    /// Visit `addr..addr+len` as page-bounded slices, in address order.
+    /// A page that was never written reads from the shared zero page, so
+    /// reading allocates and stores nothing.
+    pub fn for_each_chunk(
+        &self,
+        addr: u64,
+        len: u64,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<(), MemError> {
+        if !self.contains(addr, len) {
+            return Err(MemError::OutOfRange);
+        }
+        let mut off = addr - self.base;
+        let end = off + len;
+        while off < end {
+            let in_page = (off % self.page_size) as usize;
+            let n = (self.page_size - in_page as u64).min(end - off) as usize;
+            f(&self.page(off)[in_page..in_page + n]);
+            off += n as u64;
+        }
+        Ok(())
+    }
+
+    /// The page covering offset `off`: its backing store, or the shared
+    /// zero page when it was never written.
+    fn page(&self, off: u64) -> &Arc<[u8]> {
         let idx = (off / self.page_size) as usize;
+        self.pages
+            .get(idx)
+            .and_then(Option::as_ref)
+            .unwrap_or_else(|| zero_page())
+    }
+
+    /// Store `data` at offset `off`, which must leave it inside one page.
+    ///
+    /// A new page is built in one pass: straight from `data` when it
+    /// covers the whole page, else zero-filled inside its own allocation.
+    /// A page still aliased by an in-flight [`PayloadSlice`] is replaced
+    /// outright by a whole-page write and copied on write otherwise.
+    fn write_in_page(&mut self, off: u64, data: &[u8]) {
+        let ps = self.page_size as usize;
+        let idx = (off / self.page_size) as usize;
+        let start = (off % self.page_size) as usize;
+        let at = start..start + data.len();
         if self.pages.len() <= idx {
             self.pages.resize(idx + 1, None);
         }
-        let ps = self.page_size as usize;
-        self.pages[idx].get_or_insert_with(|| vec![0u8; ps].into())
+        let whole = data.len() == ps;
+        match &mut self.pages[idx] {
+            slot @ None if whole => *slot = Some(Arc::from(data)),
+            slot @ None => {
+                let mut page: Arc<[u8]> = iter::repeat_n(0, ps).collect();
+                sole(&mut page)[at].copy_from_slice(data);
+                *slot = Some(page);
+            }
+            Some(page) => match Arc::get_mut(page) {
+                Some(bytes) => bytes[at].copy_from_slice(data),
+                None if whole => *page = Arc::from(data),
+                None => {
+                    bytes::note_copy(ps as u64);
+                    let mut copy: Arc<[u8]> = Arc::from(&page[..]);
+                    sole(&mut copy)[at].copy_from_slice(data);
+                    *page = copy;
+                }
+            },
+        }
     }
 
-    /// Mutable view of the page covering `off`; copy-on-write when the
-    /// page is still aliased by an in-flight [`PayloadSlice`].
-    fn page_of(&mut self, off: u64) -> &mut [u8] {
-        let ps = self.page_size as usize;
-        self.page_arc(off);
-        let idx = (off / self.page_size) as usize;
-        let arc = self.pages[idx].as_mut().expect("page materialized above");
-        if Arc::get_mut(arc).is_none() {
-            bytes::note_copy(ps as u64);
-            let copy: Arc<[u8]> = Arc::from(&arc[..]);
-            *arc = copy;
+    /// Store `data` at offset `off`, page by page (range already checked).
+    fn write_at(&mut self, mut off: u64, mut data: &[u8]) {
+        while !data.is_empty() {
+            let room = (self.page_size - off % self.page_size) as usize;
+            let (head, rest) = data.split_at(room.min(data.len()));
+            self.write_in_page(off, head);
+            off += head.len() as u64;
+            data = rest;
         }
-        Arc::get_mut(arc).expect("sole owner after copy-on-write")
     }
 
     /// Write `data` at UVA `addr`.
@@ -176,43 +250,43 @@ impl Memory {
         if !self.contains(addr, data.len() as u64) {
             return Err(MemError::OutOfRange);
         }
-        let mut off = addr - self.base;
-        let mut src = data;
-        while !src.is_empty() {
-            let in_page = (off % self.page_size) as usize;
-            let room = self.page_size as usize - in_page;
-            let n = room.min(src.len());
-            let page = self.page_of(off);
-            page[in_page..in_page + n].copy_from_slice(&src[..n]);
-            src = &src[n..];
-            off += n as u64;
-        }
+        self.write_at(addr - self.base, data);
         Ok(())
+    }
+
+    /// Copy `len` bytes from `src_addr` in `src` to `dst_addr` in this
+    /// memory, page slice to page slice — one pass over the bytes, for
+    /// any mix of page sizes.
+    pub fn copy_from(
+        &mut self,
+        dst_addr: u64,
+        src: &Memory,
+        src_addr: u64,
+        len: u64,
+    ) -> Result<(), MemError> {
+        if !self.contains(dst_addr, len) || !src.contains(src_addr, len) {
+            return Err(MemError::OutOfRange);
+        }
+        let mut off = dst_addr - self.base;
+        src.for_each_chunk(src_addr, len, |chunk| {
+            self.write_at(off, chunk);
+            off += chunk.len() as u64;
+        })
     }
 
     /// Read into `out` from UVA `addr`.
-    pub fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
-        if !self.contains(addr, out.len() as u64) {
-            return Err(MemError::OutOfRange);
-        }
-        let mut off = addr - self.base;
-        let mut dst = &mut out[..];
-        while !dst.is_empty() {
-            let in_page = (off % self.page_size) as usize;
-            let room = self.page_size as usize - in_page;
-            let n = room.min(dst.len());
-            let page = self.page_of(off);
-            dst[..n].copy_from_slice(&page[in_page..in_page + n]);
-            dst = &mut dst[n..];
-            off += n as u64;
-        }
-        Ok(())
+    pub fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
+        let mut at = 0;
+        self.for_each_chunk(addr, out.len() as u64, |chunk| {
+            out[at..at + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len();
+        })
     }
 
     /// Read `len` bytes into a fresh vector.
-    pub fn read_vec(&mut self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
-        let mut v = vec![0u8; len as usize];
-        self.read(addr, &mut v)?;
+    pub fn read_vec(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
+        let mut v = Vec::with_capacity(len as usize);
+        self.for_each_chunk(addr, len, |chunk| v.extend_from_slice(chunk))?;
         Ok(v)
     }
 
@@ -220,10 +294,10 @@ impl Memory {
     ///
     /// When the range lies within a single page — always true for the
     /// card's ≤ 4 KB packet fragments, because allocations are
-    /// page-aligned — this shares the page and copies nothing. A range
-    /// crossing pages falls back to a gather copy (accounted via
-    /// [`bytes::note_copy`]).
-    pub fn read_payload(&mut self, addr: u64, len: u64) -> Result<PayloadSlice, MemError> {
+    /// page-aligned — this shares the page (or the zero page) and copies
+    /// nothing. A range crossing pages falls back to a gather copy into
+    /// the payload's own allocation (accounted via [`bytes::note_copy`]).
+    pub fn read_payload(&self, addr: u64, len: u64) -> Result<PayloadSlice, MemError> {
         if !self.contains(addr, len) {
             return Err(MemError::OutOfRange);
         }
@@ -233,12 +307,13 @@ impl Memory {
         let off = addr - self.base;
         let in_page = off % self.page_size;
         if in_page + len <= self.page_size {
-            let page = self.page_arc(off).clone();
-            Ok(PayloadSlice::from_arc(page).narrow(in_page as usize, len as usize))
-        } else {
-            bytes::note_copy(len);
-            Ok(PayloadSlice::from_vec(self.read_vec(addr, len)?))
+            let page = self.page(off).clone();
+            return Ok(PayloadSlice::from_arc(page).narrow(in_page as usize, len as usize));
         }
+        bytes::note_copy(len);
+        let mut buf: Arc<[u8]> = iter::repeat_n(0, len as usize).collect();
+        self.read(addr, sole(&mut buf))?;
+        Ok(PayloadSlice::from_arc(buf))
     }
 
     /// The page-aligned physical page addresses covering `addr..addr+len`
@@ -365,6 +440,121 @@ mod tests {
         m.write(a, &[9, 9, 9, 9]).unwrap();
         assert_eq!(p.as_slice(), &[1, 2, 3, 4], "in-flight payload is stable");
         assert_eq!(m.read_vec(a, 4).unwrap(), vec![9, 9, 9, 9]);
+    }
+
+    #[test]
+    fn untouched_pages_read_zero_and_materialize_nothing() {
+        let mut m = mem();
+        let a = m.alloc(256 * 1024).unwrap();
+        assert_eq!(m.read_vec(a + 100, 200_000).unwrap(), vec![0u8; 200_000]);
+        let mut out = [1u8; 64];
+        m.read(a + 64 * 1024 - 32, &mut out).unwrap();
+        assert_eq!(out, [0u8; 64]);
+        let p = m.read_payload(a + 10, 4096).unwrap();
+        assert!(p.iter().all(|&b| b == 0));
+        let q = m.read_payload(a + 64 * 1024 - 8, 16).unwrap();
+        assert_eq!(q.as_slice(), &[0u8; 16]);
+        assert!(m.pages.is_empty(), "reads store no pages");
+        // Host-sized pages read a narrowed view of the same zero page.
+        let mut h = Memory::new(0x1000_0000, 1 << 20, 4096);
+        let b = h.alloc(3 * 4096).unwrap();
+        assert_eq!(h.read_vec(b + 7, 9000).unwrap(), vec![0u8; 9000]);
+        assert_eq!(h.read_payload(b + 4000, 96).unwrap().len(), 96);
+        assert!(h.pages.is_empty());
+    }
+
+    #[test]
+    fn copy_from_matches_bytewise_reference() {
+        const CAP: u64 = 1 << 20;
+        apenet_sim::check::check("copy_from_matches_bytewise_reference", |g| {
+            let sizes = [4096, 64 * 1024];
+            let mut src = Memory::new(0x1000_0000, CAP, *g.pick(&sizes));
+            let mut dst = Memory::new(0x2000_0000, CAP, *g.pick(&sizes));
+            // Partly written memories: untouched pages, partial pages and
+            // whole pages all occur on both sides.
+            for m in [&mut src, &mut dst] {
+                for _ in 0..g.usize(0, 4) {
+                    let at = g.u64(0, CAP);
+                    let data = g.bytes(0, (CAP - at).min(200_000) as usize);
+                    m.write(m.base() + at, &data).unwrap();
+                }
+            }
+            let len = g.u64(0, 300_000);
+            let src_off = g.u64(0, CAP - len + 1);
+            let dst_off = g.u64(0, CAP - len + 1);
+            let src_bytes = src.read_vec(src.base(), CAP).unwrap();
+            let mut want = dst.read_vec(dst.base(), CAP).unwrap();
+            for i in 0..len as usize {
+                want[dst_off as usize + i] = src_bytes[src_off as usize + i];
+            }
+            // An in-flight payload aliasing the destination stays intact.
+            let held_at = dst.base() + g.u64(0, CAP / 4096) * 4096;
+            let held = dst.read_payload(held_at, 4096).unwrap();
+            let held_bytes = held.to_vec();
+            dst.copy_from(dst.base() + dst_off, &src, src.base() + src_off, len)
+                .unwrap();
+            assert_eq!(dst.read_vec(dst.base(), CAP).unwrap(), want);
+            assert_eq!(held.as_slice(), &held_bytes[..]);
+            assert_eq!(src.read_vec(src.base(), CAP).unwrap(), src_bytes);
+        });
+    }
+
+    #[test]
+    fn copy_from_rejects_out_of_range() {
+        let mut dst = mem();
+        let src = Memory::new(0x1000_0000, 1 << 20, 4096);
+        let end = dst.base() + dst.capacity();
+        assert_eq!(
+            dst.copy_from(end - 4, &src, src.base(), 8),
+            Err(MemError::OutOfRange)
+        );
+        assert_eq!(
+            dst.copy_from(dst.base(), &src, src.base() + (1 << 20) - 4, 8),
+            Err(MemError::OutOfRange)
+        );
+    }
+
+    #[test]
+    fn whole_page_write_over_existing_page_takes_effect() {
+        let mut m = mem();
+        let a = m.alloc(128 * 1024).unwrap();
+        // Created by a partial write, then overwritten whole.
+        m.write(a + 5, &[1, 2, 3]).unwrap();
+        m.write(a, &vec![0xCD; 64 * 1024]).unwrap();
+        assert_eq!(m.read_vec(a, 64 * 1024).unwrap(), vec![0xCD; 64 * 1024]);
+        // Created whole, then overwritten whole.
+        let b = a + 64 * 1024;
+        m.write(b, &vec![0x11; 64 * 1024]).unwrap();
+        m.write(b, &vec![0x22; 64 * 1024]).unwrap();
+        assert_eq!(m.read_vec(b, 64 * 1024).unwrap(), vec![0x22; 64 * 1024]);
+    }
+
+    #[test]
+    fn whole_page_write_over_aliased_page_replaces_it() {
+        let mut m = mem();
+        let a = m.alloc(64 * 1024).unwrap();
+        m.write(a, &vec![1u8; 64 * 1024]).unwrap();
+        let p = m.read_payload(a + 100, 4000).unwrap();
+        let before = bytes::copied_bytes();
+        m.write(a, &vec![2u8; 64 * 1024]).unwrap();
+        assert_eq!(bytes::copied_bytes(), before, "replaced, not copied");
+        assert!(p.iter().all(|&b| b == 1), "in-flight payload is stable");
+        assert_eq!(m.read_vec(a, 64 * 1024).unwrap(), vec![2u8; 64 * 1024]);
+    }
+
+    #[test]
+    fn reading_an_aliased_page_copies_nothing() {
+        let mut m = mem();
+        let a = m.alloc(64 * 1024).unwrap();
+        m.write(a, &[5u8; 4096]).unwrap();
+        let p = m.read_payload(a, 4096).unwrap();
+        let before = bytes::copied_bytes();
+        assert_eq!(m.read_vec(a, 4096).unwrap(), vec![5u8; 4096]);
+        let mut out = [0u8; 16];
+        m.read(a + 8, &mut out).unwrap();
+        assert_eq!(out, [5u8; 16]);
+        assert_eq!(bytes::copied_bytes(), before);
+        assert_eq!(p.len(), 4096);
     }
 
     #[test]

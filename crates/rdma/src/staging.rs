@@ -236,6 +236,43 @@ mod tests {
     }
 
     #[test]
+    fn staged_round_trip_is_exact_and_copies_nothing_on_slow_paths() {
+        let (mut ep, cuda, hostmem) = rig();
+        let mut dev = cuda.borrow_mut();
+        let mut hm = hostmem.borrow_mut();
+        // Multi-page, and not a multiple of either page size.
+        let len = 3 * 64 * 1024 + 1000;
+        let src = dev.malloc(len).unwrap();
+        let dst = dev.malloc(len).unwrap();
+        let b = hm.alloc(len).unwrap();
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        dev.mem.write(src, &data).unwrap();
+        drop(hm);
+        ep.register(b, len).unwrap();
+        let mut hm = hostmem.borrow_mut();
+        let before = apenet_sim::bytes::copied_bytes();
+        let plan = staged_put(
+            &mut ep,
+            &mut dev,
+            &mut hm,
+            SimTime::ZERO,
+            src,
+            b,
+            len,
+            Coord::new(1, 0, 0),
+            0,
+        )
+        .unwrap();
+        staged_recv_finish(&mut dev, &mut hm, plan.host_free, b, dst, len).unwrap();
+        assert_eq!(dev.mem.read_vec(dst, len).unwrap(), data);
+        assert_eq!(
+            apenet_sim::bytes::copied_bytes(),
+            before,
+            "cudaMemcpy is a modelled DMA copy, not a slow-path copy"
+        );
+    }
+
+    #[test]
     fn out_of_range_staging_is_a_typed_fault_not_a_panic() {
         let (mut ep, cuda, hostmem) = rig();
         let mut dev = cuda.borrow_mut();

@@ -12,7 +12,10 @@
 //!   copy-on-write of only the aliased bytes.
 //!
 //! The module keeps a per-thread [`copied_bytes`] counter so tests can
-//! assert that a clean datapath really performs zero payload copies. A
+//! assert that a clean datapath really performs zero payload copies. It
+//! counts the slow paths only — copy-on-write and gather fall-backs —
+//! not the copies the model simulates on purpose (a `cudaMemcpy` is a
+//! modelled DMA copy and is priced in simulated time instead). A
 //! simulation runs on one thread, so the counter sees all of its copies
 //! and none of a concurrently running test's.
 
@@ -25,8 +28,9 @@ thread_local! {
     static COPIED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Record `n` payload bytes copied (slow path). Public so memory models
-/// outside this crate can account their own gather copies.
+/// Record `n` payload bytes copied on a slow path: copy-on-write or a
+/// gather fall-back. Public so memory models outside this crate can
+/// account their own; modelled DMA copies are not recorded.
 pub fn note_copy(n: u64) {
     COPIED_BYTES.with(|c| c.set(c.get() + n));
 }
@@ -60,7 +64,8 @@ impl PayloadSlice {
         }
     }
 
-    /// Take ownership of a vector (no copy).
+    /// Build from a vector. `Vec<u8>` → `Arc<[u8]>` reallocates, so this
+    /// copies the bytes once; cheap for small or one-off payloads only.
     pub fn from_vec(v: Vec<u8>) -> Self {
         let len = v.len();
         PayloadSlice {
