@@ -16,8 +16,18 @@
 use apenet_bench::microbench::{self, Harness};
 use apenet_obs::gate;
 
-fn gate_docs(baseline_name: &str, baseline: &str, fresh: &str) -> i32 {
-    let out = match gate::compare(baseline, fresh, gate::tol_from_env()) {
+/// Tolerance from `APENET_GATE_TOL` (a fraction, e.g. `0.25`), or
+/// [`gate::DEFAULT_TOL`].
+fn tol_from_env() -> f64 {
+    std::env::var("APENET_GATE_TOL")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+        .unwrap_or(gate::DEFAULT_TOL)
+}
+
+fn gate_docs(baseline_name: &str, baseline: &str, fresh: &str, tol: f64) -> i32 {
+    let out = match gate::compare(baseline, fresh, tol) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("perf-gate: malformed JSON: {e}");
@@ -37,9 +47,10 @@ fn read(path: &str) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let tol = tol_from_env();
     let code = match args.get(1).map(String::as_str) {
         Some("check") => match (args.get(2), args.get(3)) {
-            (Some(b), Some(f)) => gate_docs(b, &read(b), &read(f)),
+            (Some(b), Some(f)) => gate_docs(b, &read(b), &read(f), tol),
             _ => {
                 eprintln!("usage: perf-gate check <baseline.json> <fresh.json>");
                 2
@@ -54,7 +65,7 @@ fn main() {
                 h.iters, h.warmup
             );
             microbench::run_all(&mut h);
-            gate_docs(baseline_path, &baseline, &h.to_json())
+            gate_docs(baseline_path, &baseline, &h.to_json(), tol)
         }
         Some(other) => {
             eprintln!(

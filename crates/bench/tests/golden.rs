@@ -3,12 +3,25 @@
 //! fig06 and table1 regenerate byte-identical to the committed
 //! `results/` files, pinned here as FNV-1a digests. A timing shift
 //! anywhere in the TX/RX/link datapath shows up as a digest change.
+//!
+//! Every plane is also inert when attached: the fault-aware routing
+//! plane (`route_around_faults`) over every point of fig04, fig06 and
+//! table1, and the span capture and sim-time profiler on top of it.
+//! Each runs through its explicit entry point and must measure exactly
+//! what the plain call measures.
 
 use apenet_bench::figs;
-use apenet_cluster::harness::{get_chaos_run, ChaosParams};
-use apenet_cluster::presets::cluster_i_default;
-use apenet_core::coord::TorusDims;
-use apenet_rdma::signal::SignalConfig;
+use apenet_bench::figs::fig04::fig04_curves;
+use apenet_bench::{count_for, sizes_32b_4mb, sizes_4kb_4mb, sweep};
+use apenet_cluster::harness::{
+    flush_read_bandwidth, loopback_bandwidth, two_node_bandwidth, two_node_instrumented,
+    two_node_profiled, BufSide, BwResult, TwoNodeParams,
+};
+use apenet_cluster::presets::{cluster_i_default, plx_node, plx_node_bar1};
+use apenet_cluster::NodeConfig;
+use apenet_core::config::GpuTxVersion;
+use apenet_gpu::GpuArch;
+use std::fmt::Debug;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -19,6 +32,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// `cfg` with the fault-aware routing plane armed.
+fn routed(mut cfg: NodeConfig) -> NodeConfig {
+    cfg.card.route_around_faults = true;
+    cfg
+}
+
 #[test]
 fn clean_links_reproduce_golden_outputs() {
     // Digests of the committed pre-reliability-layer results/ files.
@@ -27,85 +46,147 @@ fn clean_links_reproduce_golden_outputs() {
         ("fig06.txt", 0xfebb_d2ba_7908_eca3),
         ("table1.txt", 0xd49b_2204_1a76_0189),
     ];
-    // Two regenerations: once as shipped, once with fault-aware routing
-    // enabled cluster-wide (`APENET_ROUTE_AROUND_FAULTS=1`). With no
-    // faults scheduled the fault plane must be pure dead code — same
-    // digests byte for byte. Both passes also run with span tracing
-    // enabled-then-discarded: observation must never perturb scheduling.
-    // The second pass additionally turns on occupancy sampling
-    // (`APENET_SAMPLE`) and the sim-time profiler (`APENET_PROFILE`),
-    // both enabled-then-discarded — the digests prove the whole
-    // observability plane has zero scheduling effect.
-    // Each pass also drives a clean GET (RDMA-Read) stream under the
-    // same env knobs: the one-sided read path — request packets, remote
-    // serves, reply assembly, send-queue moderation — must be equally
-    // invisible to the observability plane. The full report (end time,
-    // deliveries, every counter) must come out byte-identical between
-    // the trace-only pass and the everything-on pass.
-    let mut get_reports: Vec<String> = Vec::new();
-    for fault_plane in [false, true] {
-        let tmp = std::env::temp_dir().join(format!(
-            "apenet-golden-{}-{}",
-            std::process::id(),
-            fault_plane as u8
-        ));
-        std::fs::create_dir_all(&tmp).expect("results dir");
-        std::env::set_var("APENET_RESULTS", &tmp);
-        std::env::set_var("APENET_TRACE", "ring:4096");
-        // The tail-forensics plane rides both passes (folding the ring
-        // capture into ledgers, digests and the flight recorder after
-        // the GET run) — the digests and report equality prove it is
-        // zero-perturbation like the rest of the observability plane.
-        std::env::set_var("APENET_TAIL", "1");
-        // The streaming SLO plane rides both passes too (windowing the
-        // same capture, burning budget, running the pager): once at the
-        // defaults, once with the full window:target:threshold grammar.
-        std::env::set_var("APENET_SLO", "1");
-        if fault_plane {
-            std::env::set_var("APENET_ROUTE_AROUND_FAULTS", "1");
-            std::env::set_var("APENET_SAMPLE", "5us");
-            std::env::set_var("APENET_PROFILE", "1");
-            std::env::set_var("APENET_TAIL", "p90:8");
-            std::env::set_var("APENET_SLO", "500us:999:20us");
-        }
-        figs::fig04::run();
-        figs::fig06::run();
-        figs::table1::run();
-        let get = get_chaos_run(
-            TorusDims::new(4, 2, 1),
-            cluster_i_default(),
-            ChaosParams {
-                msgs_per_rank: 3,
-                msg_len: 24 * 1024,
-                watchdog_reissue: true,
-            },
-            SignalConfig::default(),
+    let tmp = std::env::temp_dir().join(format!("apenet-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("results dir");
+    std::env::set_var("APENET_RESULTS", &tmp);
+    figs::fig04::run();
+    figs::fig06::run();
+    figs::table1::run();
+    std::env::remove_var("APENET_RESULTS");
+    for (name, want) in golden {
+        let bytes = std::fs::read(tmp.join(name)).expect("generated output");
+        assert!(!bytes.is_empty());
+        assert_eq!(
+            fnv1a(&bytes),
+            want,
+            "{name} drifted from the committed golden output"
         );
-        assert_eq!(get.delivered, get.expected);
-        assert!(get.payload_ok && get.quiesced);
-        get_reports.push(format!("{get:?}"));
-        std::env::remove_var("APENET_TRACE");
-        std::env::remove_var("APENET_RESULTS");
-        std::env::remove_var("APENET_ROUTE_AROUND_FAULTS");
-        std::env::remove_var("APENET_SAMPLE");
-        std::env::remove_var("APENET_PROFILE");
-        std::env::remove_var("APENET_TAIL");
-        std::env::remove_var("APENET_SLO");
-        for (name, want) in golden {
-            let bytes = std::fs::read(tmp.join(name)).expect("generated output");
-            assert!(!bytes.is_empty());
-            assert_eq!(
-                fnv1a(&bytes),
-                want,
-                "{name} drifted from the committed golden output \
-                 (route_around_faults={fault_plane})"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&tmp);
     }
-    assert_eq!(
-        get_reports[0], get_reports[1],
-        "GET runs must be byte-identical with the whole observability \
-         plane (trace + sample + profile + fault routing) switched on"
-    );
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// Runs `measure` at every point on its config as given and on the same
+/// config with fault-aware routing armed, and asserts the two results
+/// match field for field: with no faults scheduled the plane is dead
+/// code.
+fn assert_routing_inert<P: Debug + Sync>(
+    points: &[(NodeConfig, P)],
+    measure: impl Fn(NodeConfig, &P) -> BwResult + Sync,
+) {
+    let drifted: Vec<String> = sweep::map(points, |(cfg, point)| {
+        let plain = format!("{:?}", measure(cfg.clone(), point));
+        let armed = format!("{:?}", measure(routed(cfg.clone()), point));
+        (plain != armed).then(|| format!("{point:?}: {plain} != {armed}"))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(drifted.is_empty(), "routing plane moved: {drifted:#?}");
+}
+
+/// Every point of Fig. 4: the seven curves over 4 KB–4 MB.
+#[test]
+fn route_around_faults_is_inert_on_fig04() {
+    let points: Vec<(NodeConfig, u64)> = fig04_curves()
+        .into_iter()
+        .flat_map(|(_, version, window)| {
+            let cfg = plx_node(GpuArch::Fermi2050, version, window);
+            sizes_4kb_4mb()
+                .into_iter()
+                .map(move |size| (cfg.clone(), size))
+        })
+        .collect();
+    assert_routing_inert(&points, |cfg, &size| {
+        flush_read_bandwidth(cfg, BufSide::Gpu, size, count_for(size))
+    });
+}
+
+/// Every point of Fig. 6: the four buffer combinations over 32 B–4 MB.
+#[test]
+fn route_around_faults_is_inert_on_fig06() {
+    let combos = [
+        (BufSide::Host, BufSide::Host),
+        (BufSide::Host, BufSide::Gpu),
+        (BufSide::Gpu, BufSide::Host),
+        (BufSide::Gpu, BufSide::Gpu),
+    ];
+    let points: Vec<(NodeConfig, TwoNodeParams)> = combos
+        .into_iter()
+        .flat_map(|(src, dst)| {
+            sizes_32b_4mb().into_iter().map(move |size| {
+                let p = TwoNodeParams {
+                    src,
+                    dst,
+                    size,
+                    count: count_for(size),
+                    staged: false,
+                };
+                (cluster_i_default(), p)
+            })
+        })
+        .collect();
+    assert_routing_inert(&points, |cfg, &p| two_node_bandwidth(cfg, p));
+}
+
+/// One Table I row: a flushed read of one buffer side, or a loop-back
+/// between two buffers of one side, of `count` 1 MB messages.
+#[derive(Debug)]
+enum Table1Row {
+    Flush(BufSide, u32),
+    Loopback(BufSide, u32),
+}
+
+/// The seven rows of Table I on their presets.
+#[test]
+fn route_around_faults_is_inert_on_table1() {
+    use Table1Row::{Flush, Loopback};
+    let rows = [
+        (cluster_i_default(), Flush(BufSide::Host, 16)),
+        (
+            plx_node(GpuArch::Fermi2050, GpuTxVersion::V3, 128 * 1024),
+            Flush(BufSide::Gpu, 16),
+        ),
+        (
+            plx_node_bar1(GpuArch::Fermi2050, 128 * 1024),
+            Flush(BufSide::Gpu, 8),
+        ),
+        (
+            plx_node(GpuArch::KeplerK20, GpuTxVersion::V3, 128 * 1024),
+            Flush(BufSide::Gpu, 16),
+        ),
+        (
+            plx_node_bar1(GpuArch::KeplerK20, 128 * 1024),
+            Flush(BufSide::Gpu, 8),
+        ),
+        (cluster_i_default(), Loopback(BufSide::Gpu, 16)),
+        (cluster_i_default(), Loopback(BufSide::Host, 16)),
+    ];
+    let mb = 1u64 << 20;
+    assert_routing_inert(&rows, |cfg, row| match *row {
+        Flush(side, count) => flush_read_bandwidth(cfg, side, mb, count),
+        Loopback(side, count) => loopback_bandwidth(cfg, side, side, mb, count),
+    });
+}
+
+/// The span capture and the sim-time profiler, each on top of the
+/// fault-aware routing plane, leave the Fig. 6 measurement unchanged,
+/// peer-to-peer and staged alike.
+#[test]
+fn trace_and_profiler_are_inert_on_two_node_runs() {
+    for staged in [false, true] {
+        let p = TwoNodeParams {
+            src: BufSide::Gpu,
+            dst: BufSide::Gpu,
+            size: 64 * 1024,
+            count: 16,
+            staged,
+        };
+        let plain = format!("{:?}", two_node_bandwidth(cluster_i_default(), p));
+        let (traced, records) = two_node_instrumented(routed(cluster_i_default()), p);
+        assert!(!records.is_empty(), "the capture recorded the run");
+        assert_eq!(plain, format!("{traced:?}"), "traced, staged={staged}");
+        let (profiled, profile) = two_node_profiled(routed(cluster_i_default()), p);
+        assert!(profile.total_events() > 0, "the profiler saw the run");
+        assert_eq!(plain, format!("{profiled:?}"), "profiled, staged={staged}");
+    }
 }

@@ -26,11 +26,12 @@
 //!   capture; [`incast_single_flow_baseline`] is its 1-sender reference;
 //! * [`get_stream_bandwidth`] — the doorbell-batch GET sweep.
 //!
-//! Every run also honors the env planes: `APENET_TRACE`, `APENET_SAMPLE`
-//! and `APENET_PROFILE` on any cluster, `APENET_TAIL` on chaos runs and
-//! `APENET_SLO` on chaos and incast runs.
+//! A plane is attached only through one of these entry points (or
+//! [`ClusterBuilder::with_trace`] and the `node_cfg.card` fields for the
+//! overload and route-around planes); the plain entry points run with
+//! every plane off, whatever the process environment holds.
 
-use crate::cluster::{slo_from_env, tail_from_env, trace_sink_from_env, Cluster, ClusterBuilder};
+use crate::cluster::{Cluster, ClusterBuilder};
 use crate::msg::{HostApi, HostIn, HostProgram, IdleProgram, NodeCtx};
 use crate::node::NodeConfig;
 use crate::sampling::OccupancySampler;
@@ -286,7 +287,7 @@ fn build(
 fn run(cluster: &mut Cluster, sampler: Option<&mut OccupancySampler>) -> SimTime {
     match sampler {
         Some(s) => cluster.run_sampled(s),
-        None => cluster.run_auto(),
+        None => cluster.run(),
     }
 }
 
@@ -435,7 +436,7 @@ pub fn flush_read_with_trace(
             .borrow_mut()
             .attach_analyzer(shared.nic_dev, sink.clone());
     }
-    cluster.run_auto();
+    cluster.run();
     let r = records.borrow();
     (measure(&r, size), sink.take())
 }
@@ -477,7 +478,7 @@ pub fn loopback_bandwidth(
         }
     });
     let mut cluster = build(dims, node_cfg, None, vec![Box::new(prog)]);
-    cluster.run_auto();
+    cluster.run();
     let r = records.borrow();
     let comps = &r.deliveries;
     assert!(comps.len() >= 2);
@@ -596,7 +597,7 @@ fn two_node_impl(
     if profile {
         cluster.sim.attach_profiler(crate::msg::kind_of);
     }
-    cluster.run_auto();
+    cluster.run();
     let prof = cluster.sim.take_profile();
     let r = records.borrow();
     (measure(&r, p.size), cluster.trace.take(), prof)
@@ -862,7 +863,7 @@ pub fn two_node_bidir_bandwidth(
         })
         .collect();
     let mut cluster = build(dims, node_cfg, None, programs);
-    cluster.run_auto();
+    cluster.run();
     let r = records.borrow();
     // Deliveries from both directions interleave; aggregate rate over the
     // combined completion stream.
@@ -1318,35 +1319,6 @@ impl Rig {
     }
 }
 
-/// The span-trace planes a reliability run folds after it ends: an
-/// explicit config wins, else `APENET_SLO` — and, on runs that fold a
-/// tail report (`tail_env`), `APENET_TAIL` — requests the plane. Either
-/// plane needs a span trace, so the third value is the sink to attach:
-/// whatever `APENET_TRACE` asks for, forcing an unbounded capture only
-/// when tracing is otherwise off. Tracing is pure observation, so the
-/// schedule — and the run's report — are unchanged either way.
-fn resolve_planes(
-    tail: Option<TailConfig>,
-    slo: Option<SloConfig>,
-    tail_env: bool,
-) -> (Option<TailConfig>, Option<SloConfig>, Option<SharedSink>) {
-    let tail = if tail_env {
-        tail.or_else(tail_from_env)
-    } else {
-        tail
-    };
-    let slo = slo.or_else(slo_from_env);
-    let sink = (tail.is_some() || slo.is_some()).then(|| {
-        let sink = trace_sink_from_env();
-        if sink.enabled() {
-            sink
-        } else {
-            SharedSink::capturing()
-        }
-    });
-    (tail, slo, sink)
-}
-
 /// One rank of the chaos ring. With the PUT verb it streams its TX
 /// region into its ring successor's RX buffer; with the GET verb it
 /// *reads* the successor's TX region into its own RX buffer, posting
@@ -1436,17 +1408,17 @@ pub fn chaos_run(dims: TorusDims, node_cfg: NodeConfig, p: ChaosParams) -> Chaos
 /// [`chaos_run`] with the tail-forensics plane attached: alongside the
 /// (unchanged) chaos report, returns the [`TailReport`] — per-message
 /// stage ledgers, tail attribution, and the flight recorder holding
-/// full traces of the tail and error spans. The plane forces a trace
-/// capture when `APENET_TRACE` is off, but everything it records and
-/// publishes stays out of the run's schedule and registry, so the
-/// chaos report is identical to [`chaos_run`]'s.
+/// full traces of the tail and error spans. The plane captures the
+/// run's span trace, but everything it records and publishes stays out
+/// of the run's schedule and registry, so the chaos report is identical
+/// to [`chaos_run`]'s.
 pub fn chaos_run_tail(
     dims: TorusDims,
     node_cfg: NodeConfig,
     p: ChaosParams,
     cfg: TailConfig,
 ) -> (ChaosReport, TailReport) {
-    let (report, tail, _) = chaos_run_impl(dims, node_cfg, p, None, None, Some(cfg));
+    let (report, tail) = chaos_run_impl(dims, node_cfg, p, None, None, Some(cfg));
     (report, tail.expect("tail plane requested"))
 }
 
@@ -1531,8 +1503,8 @@ fn chaos_run_impl(
     sampler: Option<&mut OccupancySampler>,
     sig: Option<SignalConfig>,
     tail: Option<TailConfig>,
-) -> (ChaosReport, Option<TailReport>, Option<RunReport>) {
-    let (tail, slo, trace) = resolve_planes(tail, None, true);
+) -> (ChaosReport, Option<TailReport>) {
+    let trace = tail.is_some().then(SharedSink::capturing);
     let (cluster, rig, end) = chaos_cluster(dims, node_cfg, &p, sig, trace, sampler);
 
     // Drain the send queues' final CQEs and collect retirement totals
@@ -1590,17 +1562,9 @@ fn chaos_run_impl(
         metrics,
     };
 
-    // Fold the span capture once, after the report is fully assembled;
-    // the tail and SLO planes read the same ledgers.
-    let (records, ledgers) = if tail.is_some() || slo.is_some() {
-        fold_capture(&cluster)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    // The streaming SLO engine: published into the plane's own
-    // registry, never the run's.
-    let slo_report = slo.map(|cfg| RunReport::build(&ledgers, cfg, &RuleSet::default()));
+    // Fold the span capture after the report is fully assembled.
     let tail_report = tail.map(|cfg| {
+        let (records, ledgers) = fold_capture(&cluster);
         let summary = TailSummary::from_ledgers(ledgers, cfg);
         let mut recorder = FlightRecorder::new(cfg.capacity);
         recorder.ingest(&records, &summary.retain_set());
@@ -1618,7 +1582,7 @@ fn chaos_run_impl(
             registry,
         }
     });
-    (report, tail_report, slo_report)
+    (report, tail_report)
 }
 
 // ---------------------------------------------------------------------------
@@ -2052,7 +2016,7 @@ fn incast_run_impl(
     p: IncastParams,
     slo: Option<SloConfig>,
 ) -> (IncastReport, Option<(RunReport, Vec<TraceRecord>)>) {
-    let (_, slo, trace) = resolve_planes(None, slo, false);
+    let trace = slo.is_some().then(SharedSink::capturing);
     let (cluster, rig, end) = incast_cluster(dims, node_cfg, &p, trace);
     let sh = rig.shared.borrow();
     let payload_ok = payload_ok(&cluster, &sh);
@@ -2265,7 +2229,7 @@ pub fn get_stream_bandwidth(node_cfg: NodeConfig, p: GetStreamParams) -> BwResul
     });
     let responder = Box::new(GetStreamResponder { size: p.size });
     let mut cluster = ClusterBuilder::new(dims, node_cfg).build(vec![requester, responder]);
-    cluster.run_auto();
+    cluster.run();
     let r = records.borrow();
     measure(&r, p.size)
 }
@@ -2347,5 +2311,40 @@ mod tests {
         let dims = TorusDims::new(3, 1, 1);
         let (cluster, rig, _) = incast_cluster(dims, cluster_i_incast(false), &storm, None);
         assert_verifier_catches_a_flip(&cluster, &rig);
+    }
+
+    /// A clean GET ring — request packets, remote serves, reply assembly,
+    /// send-queue moderation — reports the same with the occupancy
+    /// sampler ticking through it on top of the fault-aware routing
+    /// plane: end time, deliveries and every counter.
+    #[test]
+    fn sampler_is_inert_on_a_get_ring() {
+        let dims = TorusDims::new(4, 2, 1);
+        let p = ChaosParams {
+            msgs_per_rank: 3,
+            msg_len: 24 * 1024,
+            watchdog_reissue: true,
+        };
+        let plain = get_chaos_run(
+            dims,
+            cluster_i_default(),
+            p.clone(),
+            SignalConfig::default(),
+        );
+        assert_eq!(plain.delivered, plain.expected);
+        assert!(plain.payload_ok && plain.quiesced);
+        let mut routed = cluster_i_default();
+        routed.card.route_around_faults = true;
+        let mut sampler = OccupancySampler::new(SimDuration::from_us(5));
+        let (sampled, _) = chaos_run_impl(
+            dims,
+            routed,
+            p,
+            Some(&mut sampler),
+            Some(SignalConfig::default()),
+            None,
+        );
+        assert!(sampler.samples() > 0, "the run is long enough to tick");
+        assert_eq!(format!("{plain:?}"), format!("{sampled:?}"));
     }
 }

@@ -24,7 +24,7 @@ pub mod node;
 pub mod presets;
 pub mod sampling;
 
-pub use cluster::{tail_from_env, Cluster, ClusterBuilder};
+pub use cluster::{Cluster, ClusterBuilder};
 pub use msg::{ClusterActor, HostIn, HostProgram, Msg, NodeCtx};
 pub use node::NodeConfig;
 pub use sampling::OccupancySampler;

@@ -8,7 +8,7 @@
 //! left by every event with time ≤ `T` — and because nothing is ever
 //! scheduled, no sequence number is consumed and no event is reordered,
 //! the sampled run is *bit-identical* to an unsampled one. The golden
-//! two-pass test holds this to the digest level.
+//! test holds a sampled GET ring's whole report to its unsampled twin.
 //!
 //! What gets recorded, per node rank `r`, into
 //! [`TimeSeries`](apenet_obs::TimeSeries) metrics:
@@ -26,7 +26,6 @@
 //! * `cluster.calendar` — pending-event count of the engine itself.
 
 use crate::cluster::Cluster;
-use apenet_obs::sampler::sample_period_from_env;
 use apenet_obs::Registry;
 use apenet_pcie::link::Dir;
 use apenet_sim::{SimDuration, SimTime};
@@ -37,7 +36,7 @@ pub const PORT_LABELS: [&str; 7] = ["x+", "x-", "y+", "y-", "z+", "z-", "lb"];
 
 /// The periodic occupancy probe. Owns a private [`Registry`] so sampled
 /// series never leak into the global metrics namespace; consumers read
-/// it back (or discard it, as the golden tests do) after the run.
+/// it back after the run.
 pub struct OccupancySampler {
     period: SimDuration,
     next: SimTime,
@@ -56,12 +55,6 @@ impl OccupancySampler {
             samples: 0,
             reg: Registry::new(),
         }
-    }
-
-    /// Build from the `APENET_SAMPLE` env spec (see
-    /// [`apenet_obs::sampler`]); `None` when sampling is disabled.
-    pub fn from_env() -> Option<Self> {
-        sample_period_from_env().map(Self::new)
     }
 
     /// The sampling period.
@@ -165,16 +158,5 @@ impl Cluster {
             sampler.sample(end, self);
         }
         end
-    }
-
-    /// Run to quiescence, sampling iff `APENET_SAMPLE` enables it; the
-    /// sampler (and everything it recorded) is discarded. This is the
-    /// default run path of the figure harnesses: observation that the
-    /// golden digests prove has zero scheduling effect.
-    pub fn run_auto(&mut self) -> SimTime {
-        match OccupancySampler::from_env() {
-            Some(mut s) => self.run_sampled(&mut s),
-            None => self.sim.run(),
-        }
     }
 }

@@ -14,11 +14,13 @@
 //! the storm drains at near the funnel's line rate.
 
 use apenet_cluster::harness::{
-    incast_run, incast_single_flow_baseline, IncastParams, IncastReport, IncastVerb,
+    incast_run, incast_run_slo_traced, incast_single_flow_baseline, IncastParams, IncastReport,
+    IncastVerb,
 };
 use apenet_cluster::node::FaultPlan;
 use apenet_cluster::presets::{cluster_i_hotspot, cluster_i_incast, incast_dims};
 use apenet_core::coord::LinkDir;
+use apenet_obs::slo::SloConfig;
 use apenet_rdma::pacing::PacerConfig;
 use apenet_sim::{SimDuration, SimTime};
 
@@ -250,6 +252,26 @@ fn disabled_plane_is_inert() {
     // And the ids are present in the snapshot regardless.
     for id in apenet_rdma::pacing::metrics::ALL {
         assert_eq!(off.metrics.get(id), 0, "{id} registered at zero");
+    }
+}
+
+/// The SLO plane is pure observation: with the overload plane off or
+/// on, folding the storm's span capture into windows, budgets and
+/// alerts leaves the whole incast report unchanged.
+#[test]
+fn slo_plane_is_inert() {
+    for plane in [false, true] {
+        let p = || params(OFFERED, IncastVerb::Put, plane.then(PacerConfig::default));
+        let plain = incast_run(incast_dims(), cluster_i_incast(plane), p());
+        let (traced, slo, records) = incast_run_slo_traced(
+            incast_dims(),
+            cluster_i_incast(plane),
+            p(),
+            SloConfig::default(),
+        );
+        assert!(!records.is_empty(), "the plane captured the storm");
+        assert!(!slo.windows.is_empty(), "the plane folded windows");
+        assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "plane={plane}");
     }
 }
 

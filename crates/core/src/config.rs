@@ -71,46 +71,6 @@ impl Default for OverloadConfig {
     }
 }
 
-impl OverloadConfig {
-    /// Parse the `APENET_OVERLOAD` grammar. Lenient like `APENET_TAIL`:
-    /// unset/empty/`0`/`off` disable the plane; `1`/`on` arm it with
-    /// defaults; otherwise a comma-separated list of `port:<frames>` and
-    /// `ring:<entries>` overrides, unknown or malformed items falling
-    /// back to the defaults rather than erroring.
-    pub fn parse(v: &str) -> Option<OverloadConfig> {
-        let v = v.trim();
-        if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") {
-            return None;
-        }
-        let mut cfg = OverloadConfig::default();
-        if v == "1" || v.eq_ignore_ascii_case("on") {
-            return Some(cfg);
-        }
-        for item in v.split(',') {
-            let item = item.trim();
-            if let Some(n) = item.strip_prefix("port:") {
-                if let Ok(n) = n.trim().parse::<u32>() {
-                    cfg.port_highwater = n.max(1);
-                }
-            } else if let Some(n) = item.strip_prefix("ring:") {
-                if let Ok(n) = n.trim().parse::<u32>() {
-                    cfg.ring_highwater = n.max(1);
-                }
-            }
-        }
-        Some(cfg)
-    }
-
-    /// The `APENET_OVERLOAD` env gate (unset/`0` = plane disabled),
-    /// mirroring `APENET_ROUTE_AROUND_FAULTS`: the guard can arm the
-    /// overload plane without recompiling.
-    pub fn from_env() -> Option<OverloadConfig> {
-        std::env::var("APENET_OVERLOAD")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-    }
-}
-
 /// Calibration constants of one card.
 #[derive(Debug, Clone)]
 pub struct CardConfig {
@@ -200,11 +160,10 @@ pub struct CardConfig {
     /// APElink follow-up papers make first-class): dead-link detection by
     /// keepalive miss, deterministic detour routing around failed ring
     /// hops, link-state flooding, and drain/requeue of in-flight frames.
-    /// `false` restores strict dimension-order routing with
-    /// panic-on-missing-route — exactly today's behaviour — and the
-    /// golden-digest test pins that clean-run figures are byte-identical
-    /// either way. Defaults from the `APENET_ROUTE_AROUND_FAULTS` env var
-    /// (unset/`0` = off) so the guard can flip it without recompiling.
+    /// `false` (the default) restores strict dimension-order routing
+    /// with panic-on-missing-route, and the golden test pins that
+    /// clean-run figures are identical either way. Set it on
+    /// `node_cfg.card` to arm the plane.
     pub route_around_faults: bool,
     /// Consecutive unanswered keepalive probes before a port is declared
     /// dead. Probes ride barren retransmit timeouts (so they exist only
@@ -218,9 +177,9 @@ pub struct CardConfig {
     /// host keeping up, i.e. an unbounded ring (today's behaviour).
     pub rx_ring_entries: Option<u32>,
     /// The overload-protection plane (ECN-style marking + congestion
-    /// echoes). `None` — the default, from the `APENET_OVERLOAD` env var
-    /// — keeps the plane pure dead code: no mark bits, no echo frames,
-    /// no extra events, byte-identical golden digests.
+    /// echoes). `None` (the default) keeps the plane pure dead code: no
+    /// mark bits, no echo frames, no extra events, byte-identical golden
+    /// digests. Set it on `node_cfg.card` to arm the plane.
     pub overload: Option<OverloadConfig>,
 }
 
@@ -258,12 +217,10 @@ impl CardConfig {
             link_window: 32,
             link_rto: SimDuration::from_us(100),
             fault_seed: 0xA9E0_5EED,
-            route_around_faults: std::env::var("APENET_ROUTE_AROUND_FAULTS")
-                .map(|v| v != "0" && !v.is_empty())
-                .unwrap_or(false),
+            route_around_faults: false,
             keepalive_misses: 3,
             rx_ring_entries: None,
-            overload: OverloadConfig::from_env(),
+            overload: None,
         }
     }
 
@@ -357,39 +314,17 @@ mod tests {
     }
 
     #[test]
-    fn overload_grammar_disables_and_defaults() {
-        assert_eq!(OverloadConfig::parse(""), None);
-        assert_eq!(OverloadConfig::parse("0"), None);
-        assert_eq!(OverloadConfig::parse("off"), None);
-        assert_eq!(OverloadConfig::parse(" OFF "), None);
-        assert_eq!(OverloadConfig::parse("1"), Some(OverloadConfig::default()));
-        assert_eq!(OverloadConfig::parse("on"), Some(OverloadConfig::default()));
-        // Malformed items fall back to defaults instead of erroring.
-        assert_eq!(
-            OverloadConfig::parse("bogus,port:x"),
-            Some(OverloadConfig::default())
-        );
-    }
-
-    #[test]
-    fn overload_grammar_overrides() {
-        let c = OverloadConfig::parse("port:4,ring:16").unwrap();
-        assert_eq!(c.port_highwater, 4);
-        assert_eq!(c.ring_highwater, 16);
-        let c = OverloadConfig::parse(" ring:12 ").unwrap();
-        assert_eq!(c.port_highwater, OverloadConfig::default().port_highwater);
-        assert_eq!(c.ring_highwater, 12);
-        // Zero thresholds clamp to 1: a mark-everything config is still
-        // well-defined, a mark-on-empty-queue one is not.
-        assert_eq!(OverloadConfig::parse("port:0").unwrap().port_highwater, 1);
-    }
-
-    #[test]
     fn overload_plane_defaults_off() {
-        // The env gate is the only way to arm it cluster-wide; the test
-        // binary never sets APENET_OVERLOAD globally.
-        if std::env::var("APENET_OVERLOAD").is_err() {
-            assert_eq!(CardConfig::default().overload, None);
+        // Defaults are pure: no constructor arms a plane, whatever the
+        // process environment holds.
+        for c in [
+            CardConfig::default(),
+            CardConfig::paper_v1(),
+            CardConfig::paper_v2(32 * 1024),
+            CardConfig::paper_v3(64 * 1024),
+        ] {
+            assert_eq!(c.overload, None);
+            assert!(!c.route_around_faults);
         }
     }
 

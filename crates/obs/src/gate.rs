@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 
 /// Fractional tolerance applied to wall-clock-derived metrics when the
-/// caller does not override it (`APENET_GATE_TOL`).
+/// caller does not override it.
 pub const DEFAULT_TOL: f64 = 0.08;
 
 /// Smallest absolute wall-clock regression (in nanoseconds) the gate
@@ -35,16 +35,6 @@ pub const DEFAULT_TOL: f64 = 0.08;
 /// delta is surfaced as a note instead of failing the gate.
 /// Deterministic and throughput checks are unaffected.
 pub const MIN_NS_DELTA: f64 = 100_000.0;
-
-/// Tolerance from `APENET_GATE_TOL` (a fraction, e.g. `0.25`), or
-/// [`DEFAULT_TOL`].
-pub fn tol_from_env() -> f64 {
-    std::env::var("APENET_GATE_TOL")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-        .unwrap_or(DEFAULT_TOL)
-}
 
 /// Outcome of one baseline-vs-fresh comparison.
 #[derive(Debug, Default)]

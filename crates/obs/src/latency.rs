@@ -346,8 +346,8 @@ pub fn attach_errors(ledgers: &mut [MsgLedger], errors: &[(SpanId, &'static str)
     }
 }
 
-/// Tail-plane configuration (the `APENET_TAIL` env grammar lives in
-/// `apenet-cluster` next to `APENET_TRACE`'s).
+/// Tail-plane configuration, passed explicitly to the harness entry
+/// points that fold a tail report (`chaos_run_tail` in `apenet-cluster`).
 #[derive(Debug, Clone, Copy)]
 pub struct TailConfig {
     /// Messages at or above this total-latency quantile are "tail".

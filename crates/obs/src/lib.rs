@@ -25,8 +25,6 @@
 //!   counter tracks fed by the occupancy sampler — with a
 //!   dependency-free JSON sanity parser and a nesting/counter
 //!   validator used by CI.
-//! * [`sampler`] — the `APENET_SAMPLE` grammar shared by the
-//!   cluster-level occupancy sampler and its consumers.
 //! * [`heatmap`] — deterministic ASCII congestion heatmaps (per-link
 //!   utilization over time) rendered from sampled byte counters.
 //! * [`gate`] — the perf-regression comparator: fresh `BENCH_*.json`
@@ -60,7 +58,6 @@ pub mod perfetto;
 pub mod recorder;
 pub mod registry;
 pub mod report;
-pub mod sampler;
 pub mod slo;
 pub mod window;
 

@@ -3,9 +3,8 @@
 //! Aggregates (digests, blame histograms) compress the tail away; when
 //! a p999 message or a typed error needs *forensics*, you want every
 //! trace record of exactly that message — and nothing else. The
-//! recorder builds on the same bounded-ring idea as
-//! [`apenet_sim::trace::SharedSink::ring`], but the unit of retention
-//! is a whole span, selected retroactively: after a run, the tail
+//! recorder is a bounded ring whose unit of retention is a whole
+//! span, selected retroactively: after a run, the tail
 //! plane hands it the capture plus the set of spans worth keeping
 //! (tail messages, messages ending in typed errors such as
 //! `Unreachable` or `RxRingFull`), and the recorder keeps the

@@ -13,8 +13,7 @@
 //! renderings.
 
 use crate::time::SimTime;
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -154,20 +153,13 @@ pub struct TraceRecord {
 enum SinkImpl {
     Null,
     Vec(Rc<RefCell<Vec<TraceRecord>>>),
-    Ring {
-        buf: Rc<RefCell<VecDeque<TraceRecord>>>,
-        cap: usize,
-        dropped: Rc<Cell<u64>>,
-    },
 }
 
 /// A cheaply clonable, shareable trace sink — components of a
 /// single-threaded simulation share one capture buffer through this handle.
 ///
-/// Three flavours: [`SharedSink::null`] discards, [`SharedSink::capturing`]
-/// keeps everything, [`SharedSink::ring`] keeps the most recent `cap`
-/// records in bounded memory (the virtual bus-analyzer's capture buffer),
-/// counting evictions in [`SharedSink::dropped`].
+/// Two flavours: [`SharedSink::null`] discards, [`SharedSink::capturing`]
+/// keeps everything.
 #[derive(Clone)]
 pub struct SharedSink {
     inner: SinkImpl,
@@ -186,18 +178,6 @@ impl SharedSink {
     pub fn capturing() -> Self {
         SharedSink {
             inner: SinkImpl::Vec(Rc::new(RefCell::new(Vec::new()))),
-        }
-    }
-
-    /// A bounded ring sink keeping the most recent `cap` records; older
-    /// records are evicted and counted in [`SharedSink::dropped`].
-    pub fn ring(cap: usize) -> Self {
-        SharedSink {
-            inner: SinkImpl::Ring {
-                buf: Rc::new(RefCell::new(VecDeque::with_capacity(cap.max(1)))),
-                cap: cap.max(1),
-                dropped: Rc::new(Cell::new(0)),
-            },
         }
     }
 
@@ -226,14 +206,6 @@ impl SharedSink {
         match &self.inner {
             SinkImpl::Null => {}
             SinkImpl::Vec(v) => v.borrow_mut().push(rec(at, source, kind)),
-            SinkImpl::Ring { buf, cap, dropped } => {
-                let mut buf = buf.borrow_mut();
-                if buf.len() == *cap {
-                    buf.pop_front();
-                    dropped.set(dropped.get() + 1);
-                }
-                buf.push_back(rec(at, source, kind));
-            }
         }
     }
 
@@ -243,7 +215,6 @@ impl SharedSink {
         match &self.inner {
             SinkImpl::Null => None,
             SinkImpl::Vec(v) => Some(v.borrow().clone()),
-            SinkImpl::Ring { buf, .. } => Some(buf.borrow().iter().cloned().collect()),
         }
     }
 
@@ -253,16 +224,6 @@ impl SharedSink {
         match &self.inner {
             SinkImpl::Null => Vec::new(),
             SinkImpl::Vec(v) => std::mem::take(&mut *v.borrow_mut()),
-            SinkImpl::Ring { buf, .. } => buf.borrow_mut().drain(..).collect(),
-        }
-    }
-
-    /// Records evicted from a ring sink because it was full (0 for the
-    /// other flavours).
-    pub fn dropped(&self) -> u64 {
-        match &self.inner {
-            SinkImpl::Ring { dropped, .. } => dropped.get(),
-            _ => 0,
         }
     }
 
@@ -271,7 +232,6 @@ impl SharedSink {
         match &self.inner {
             SinkImpl::Null => 0,
             SinkImpl::Vec(v) => v.borrow().len(),
-            SinkImpl::Ring { buf, .. } => buf.borrow().len(),
         }
     }
 
@@ -349,32 +309,6 @@ mod tests {
         // The sink stays usable after draining.
         s.record(SimTime::ZERO, "c", kind::POST, None, TracePayload::None);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn ring_sink_bounds_memory_and_counts_evictions() {
-        let s = SharedSink::ring(3);
-        assert!(s.enabled());
-        for i in 0..5u64 {
-            s.record(
-                SimTime::from_ps(i),
-                "r",
-                kind::FRAME_TX,
-                None,
-                TracePayload::Frame {
-                    seq: i,
-                    wire: 100,
-                    retrans: false,
-                },
-            );
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.dropped(), 2);
-        let recs = s.take();
-        assert_eq!(recs.len(), 3);
-        // Oldest two were evicted; the newest three survive in order.
-        assert_eq!(recs[0].at, SimTime::from_ps(2));
-        assert_eq!(recs[2].at, SimTime::from_ps(4));
     }
 
     #[test]

@@ -56,6 +56,16 @@ for bin in "${harness_bins[@]}"; do
 done
 git diff --exit-code -- "${harness_outputs[@]}"
 
+echo "==> shell exports cannot move artifacts (plane variables set: outputs unchanged)"
+# Planes are explicit arguments only. These variables once armed or
+# attached planes from the shell; set to "on" they must change nothing.
+for bin in incast-goodput fig06 table2; do
+    APENET_TRACE=capture APENET_SAMPLE=1 APENET_PROFILE=1 APENET_TAIL=1 \
+    APENET_SLO=1 APENET_OVERLOAD=1 APENET_ROUTE_AROUND_FAULTS=1 HSG_TRACE=1 \
+        cargo run --release --offline -q -p apenet-bench --bin "$bin" >/dev/null
+done
+git diff --exit-code -- results/incast_goodput.txt results/fig06.txt results/table2.txt
+
 echo "==> BFS sweep determinism (table4 + fig12 serial match the concurrent run)"
 # The sweep points share one memoised graph and its exchange-slot sizes;
 # a serial pass must write the same bytes as the concurrent one above.
